@@ -289,20 +289,37 @@ pub struct GhsEngine {
     cand_scratch: Vec<Option<Cand>>,
     stalled_scratch: Vec<bool>,
     delivered_scratch: Vec<(u32, Cand)>,
-    /// Reusable merge scratch: relabeled nodes, `(group root, fragment)`
-    /// pairs, gathered group members, and fresh fragment ids.
+    /// Reusable merge scratch: relabeled nodes, the members of one merge
+    /// group (or, in the size stage, one fragment) gathered in list order,
+    /// the group's run bounds in that buffer, and the run-merge output.
     changed_scratch: Vec<u32>,
-    group_pairs: Vec<(u32, u32)>,
     member_gather: Vec<u32>,
+    member_runs: Vec<u32>,
+    merge_tmp: Vec<u32>,
+    /// Merge-stage union-find over dense fragment indices (a fragment's
+    /// position in `live`, held per id in `live_index`), reset per stage.
+    uf: emst_graph::UnionFind,
+    live_index: Vec<u32>,
+    /// Per fragment id, its entry in the merge stage's `chosen` list
+    /// (`NONE` outside a merge stage, and for fragments without one).
+    chosen_at: Vec<u32>,
+    /// Reusable merge scratch: union-find root per dense index, and live
+    /// fragments grouped by root with the group bounds.
+    group_roots: Vec<u32>,
+    group_frags: Vec<u32>,
+    group_off: Vec<u32>,
+    /// Reusable merge scratch: fresh fragment ids (survivors that were not
+    /// live before the stage) and the live-list rebuild buffer.
     new_ids_scratch: Vec<u32>,
+    live_scratch: Vec<u32>,
     /// Reusable merge scratch: accepted edges annotated with fragment
-    /// endpoints, plus CSR adjacency + BFS state for the fragment-level
-    /// re-rooting walk.
+    /// endpoints (as accepted, then grouped by root), plus CSR adjacency
+    /// + BFS state for the fragment-level re-rooting walk.
     group_edges_scratch: Vec<GroupEdge>,
-    live_index_scratch: Vec<u32>,
+    group_edges_sorted: Vec<GroupEdge>,
+    reflip_arcs: Vec<(u32, u32)>,
     reflip_off: Vec<u32>,
-    reflip_cur: Vec<u32>,
-    reflip_adj: Vec<u32>,
+    reflip_adj: Vec<(u32, u32)>,
     reflip_visited: Vec<bool>,
     reflip_queue: VecDeque<u32>,
     /// Per-node scan cursor into the topology's sorted rows (clean
@@ -311,18 +328,17 @@ pub struct GhsEngine {
     /// can never turn foreign again and each row is scanned O(deg) total
     /// across all phases instead of O(deg) per phase.
     moe_state: Vec<MoeSlot>,
-    /// Accumulated tree adjacency (for re-rooting after merges).
-    tree_adj: Vec<Vec<(u32, f64)>>,
     tree_edges: Vec<Edge>,
-    /// Fragments that do not search for MOEs (the giant in EOPT step 2).
-    passive: std::collections::HashSet<u32>,
-    /// Fragments with no outgoing edge at the current radius.
-    inactive: std::collections::HashSet<u32>,
+    /// Per fragment id: does not search for MOEs (the giant in EOPT step
+    /// 2). Set only on live ids.
+    passive: Vec<bool>,
+    /// Per fragment id: no outgoing edge at the current radius. Set only
+    /// on live ids.
+    inactive: Vec<bool>,
     phases: usize,
-    /// Epoch-stamped visited marks + queue for re-rooting BFS.
+    /// Epoch-stamped visited marks for depth computation.
     visit_mark: Vec<u32>,
     visit_epoch: u32,
-    bfs_queue: VecDeque<u32>,
     /// Reusable frontier buffers for depth computation.
     depth_val: Vec<u32>,
     depth_path: Vec<u32>,
@@ -380,25 +396,31 @@ impl GhsEngine {
             stalled_scratch: Vec::new(),
             delivered_scratch: Vec::new(),
             changed_scratch: Vec::new(),
-            group_pairs: Vec::new(),
             member_gather: Vec::new(),
+            member_runs: Vec::new(),
+            merge_tmp: Vec::new(),
+            uf: emst_graph::UnionFind::new(0),
+            live_index: vec![0; n],
+            chosen_at: vec![NONE; n],
+            group_roots: Vec::new(),
+            group_frags: Vec::new(),
+            group_off: Vec::new(),
             new_ids_scratch: Vec::new(),
+            live_scratch: Vec::new(),
             group_edges_scratch: Vec::new(),
-            live_index_scratch: Vec::new(),
+            group_edges_sorted: Vec::new(),
+            reflip_arcs: Vec::new(),
             reflip_off: Vec::new(),
-            reflip_cur: Vec::new(),
             reflip_adj: Vec::new(),
             reflip_visited: Vec::new(),
             reflip_queue: VecDeque::new(),
             moe_state: Vec::new(),
-            tree_adj: vec![Vec::new(); n],
             tree_edges: Vec::new(),
-            passive: Default::default(),
-            inactive: Default::default(),
+            passive: vec![false; n],
+            inactive: vec![false; n],
             phases: 0,
             visit_mark: vec![0; n],
             visit_epoch: 0,
-            bfs_queue: VecDeque::new(),
             depth_val: vec![0; n],
             depth_path: Vec::new(),
             faults,
@@ -492,15 +514,17 @@ impl GhsEngine {
 
     /// Ids of fragments currently marked passive.
     pub fn passive_fragments(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.passive.iter().map(|&f| f as usize).collect();
-        v.sort_unstable();
-        v
+        self.live
+            .iter()
+            .filter(|&&f| self.passive[f as usize])
+            .map(|&f| f as usize)
+            .collect()
     }
 
     /// Clears all passivity (EOPT's recovery pass).
     pub fn clear_passive(&mut self) {
-        self.passive.clear();
-        self.inactive.clear();
+        self.passive.fill(false);
+        self.inactive.fill(false);
     }
 
     /// Marks the fragment with id `frag` passive: it stops searching for
@@ -513,7 +537,7 @@ impl GhsEngine {
             self.is_live.get(frag).copied().unwrap_or(false),
             "mark_passive: {frag} is not a live fragment id"
         );
-        self.passive.insert(frag as u32);
+        self.passive[frag] = true;
     }
 
     /// Id and size of the largest current fragment (ties broken by the
@@ -535,12 +559,16 @@ impl GhsEngine {
         assert_eq!(self.phases, 0, "seed_forest requires a fresh engine");
         let n = self.n;
         let mut uf = emst_graph::UnionFind::new(n);
+        let mut arcs = Vec::with_capacity(2 * edges.len());
         for &(u, v, w) in edges {
             assert!(uf.union(u, v), "seed edges must form a forest");
             self.tree_edges.push(Edge::new(u, v, w));
-            self.tree_adj[u].push((v as u32, w));
-            self.tree_adj[v].push((u as u32, w));
+            arcs.extend([(u as u32, v as u32), (v as u32, u as u32)]);
         }
+        // Adjacency of the seed forest, needed only to orient it here:
+        // later merges re-root by path reversal and read no adjacency.
+        let (mut off, mut adj) = (Vec::new(), Vec::new());
+        counting_sort(&arcs, n, |&(u, _)| u as usize, &mut off, &mut adj);
         let (labels, sizes) = uf.labels();
         let mut leader_of_label: Vec<u32> = vec![0; sizes.len()];
         for (u, &l) in labels.iter().enumerate() {
@@ -569,8 +597,23 @@ impl GhsEngine {
         let is_live = &self.is_live;
         self.live
             .extend((0..n as u32).filter(|&f| is_live[f as usize]));
+        // Orient every seeded tree towards its leader (BFS from it).
+        let mut seen = vec![false; n];
+        let mut queue = VecDeque::new();
         for &leader in &leader_of_label {
-            self.reroot(leader);
+            seen[leader as usize] = true;
+            self.parent[leader as usize] = leader;
+            queue.push_back(leader);
+            while let Some(u) = queue.pop_front() {
+                for &(_, v) in &adj[off[u as usize] as usize..off[u as usize + 1] as usize] {
+                    if !seen[v as usize] {
+                        seen[v as usize] = true;
+                        self.parent[v as usize] = u;
+                        self.parent_energy[v as usize] = f64::INFINITY;
+                        queue.push_back(v);
+                    }
+                }
+            }
         }
     }
 
@@ -588,12 +631,12 @@ impl GhsEngine {
         net.cache_topology(radius);
         if self.faults.is_some() {
             self.discover_faulty(net, radius, kinds);
-            self.inactive.clear();
+            self.inactive.fill(false);
             return;
         }
         if self.members.is_some() {
             self.discover_restricted(net, radius, kinds);
-            self.inactive.clear();
+            self.inactive.fill(false);
             return;
         }
         // Hello round: one local broadcast per node, charged exactly like a
@@ -647,7 +690,7 @@ impl GhsEngine {
                     .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
             }
         }
-        self.inactive.clear();
+        self.inactive.fill(false);
     }
 
     /// Discovery under a fault schedule: charges and round count match the
@@ -774,7 +817,7 @@ impl GhsEngine {
         self.radius = radius;
         net.cache_topology(radius);
         self.build_restricted_rows(net, &members);
-        self.inactive.clear();
+        self.inactive.fill(false);
     }
 
     /// Sends `u → v` through the ack/retry envelope when a fault schedule
@@ -1235,7 +1278,7 @@ impl GhsEngine {
         let mut idle_nodes: Vec<u32> = Vec::new();
         for idx in 0..self.live.len() {
             let f = self.live[idx];
-            if self.passive.contains(&f) || self.inactive.contains(&f) {
+            if self.passive[f as usize] || self.inactive[f as usize] {
                 if low_awake {
                     let mut u = self.frag_head[f as usize];
                     while u != NONE {
@@ -1389,7 +1432,7 @@ impl GhsEngine {
         // but only if their control traffic actually went through.
         for (ai, &(f, _, _)) in bounds.iter().enumerate() {
             if cand[ai].is_none() && !stalled[ai] {
-                self.inactive.insert(f);
+                self.inactive[f as usize] = true;
             }
         }
         if cand.iter().all(|c| c.is_none()) {
@@ -1521,18 +1564,28 @@ impl GhsEngine {
     /// sorted ascending by fragment id). Leaves the nodes whose fragment id
     /// changed in `self.changed_scratch` (in merge-group order) and returns
     /// the number of merged groups.
+    ///
+    /// One stage costs O(live fragments + merged members): fragments are
+    /// grouped by union-find root with stable counting sorts, flags and
+    /// chosen edges are read from id-indexed slabs, member lists are
+    /// spliced by a run merge, and every buffer is reused across stages.
     fn merge(&mut self, net: &mut RadioNet<'_>, chosen: &[(u32, Cand)]) -> MergeResult {
         self.changed_scratch.clear();
-        let mut pairs = std::mem::take(&mut self.group_pairs);
-        pairs.clear();
+        let nlive = self.live.len();
+        // Union-find over dense fragment indices (entries of `live_index`
+        // for dead ids are stale but never read — every lookup goes
+        // through a live id).
+        for (i, &f) in self.live.iter().enumerate() {
+            self.live_index[f as usize] = i as u32;
+        }
+        self.uf.reset(nlive);
         // An edge is accepted iff it joins two fragments not already
         // grouped this stage. In fault-free runs this is exactly the old
         // mutual-choice dedup (unique weights admit only 2-cycles among
         // MOE choices); under faults it additionally discards stale
         // cache picks that turned out fragment-internal and ≥3-cycles
         // among non-minimum candidates — either would corrupt the forest.
-        let mut new_edges: Vec<Edge> = Vec::new();
-        // Accepted edges annotated with their (pre-merge) fragment
+        // Accepted edges are annotated with their (pre-merge) fragment
         // endpoints and, after all unions, their group root — the
         // fragment-level spanning tree each merge group re-roots along.
         let mut group_edges = std::mem::take(&mut self.group_edges_scratch);
@@ -1545,71 +1598,65 @@ impl GhsEngine {
         // phase and livelocks until the barren-phase cutoff. Empty in
         // fault-free runs (accurate caches only pick outgoing edges).
         let mut stale: Vec<Cand> = Vec::new();
-        let mut live_index = std::mem::take(&mut self.live_index_scratch);
-        {
-            // Union-find over live fragment ids; dense indices come from a
-            // reusable id -> position array (entries for dead ids are stale
-            // but never read — every lookup goes through a live id).
-            let ids = &self.live;
-            live_index.resize(self.n, 0);
-            for (i, &f) in ids.iter().enumerate() {
-                live_index[f as usize] = i as u32;
-            }
-            let index = |f: u32| live_index[f as usize] as usize;
-            let mut uf = emst_graph::UnionFind::new(ids.len());
-            for &(f, cand) in chosen {
-                let g = self.frag[cand.v as usize];
-                if g == f {
-                    stale.push(cand);
-                } else if uf.union(index(f), index(g)) {
-                    let (a, b) = if cand.u < cand.v {
-                        (cand.u, cand.v)
-                    } else {
-                        (cand.v, cand.u)
-                    };
-                    new_edges.push(Edge::new(a as usize, b as usize, cand.w));
-                    group_edges.push(GroupEdge {
-                        root: 0, // filled below once the unions settle
-                        frag_u: f,
-                        frag_v: g,
-                        u: cand.u,
-                        v: cand.v,
-                    });
-                }
-            }
-            for ge in group_edges.iter_mut() {
-                ge.root = uf.find(index(ge.frag_u)) as u32;
-            }
-            // Group fragments: `(root, f)` pairs sorted by root then id give
-            // each union-find class as a contiguous run with members in
-            // ascending order — the same grouping (and group-internal order)
-            // a sorted map of root → sorted members would produce.
-            for &f in ids {
-                pairs.push((uf.find(index(f)) as u32, f));
+        for (k, &(f, cand)) in chosen.iter().enumerate() {
+            self.chosen_at[f as usize] = k as u32;
+            let g = self.frag[cand.v as usize];
+            if g == f {
+                stale.push(cand);
+            } else if self.uf.union(
+                self.live_index[f as usize] as usize,
+                self.live_index[g as usize] as usize,
+            ) {
+                let (a, b) = if cand.u < cand.v {
+                    (cand.u, cand.v)
+                } else {
+                    (cand.v, cand.u)
+                };
+                self.tree_edges
+                    .push(Edge::new(a as usize, b as usize, cand.w));
+                group_edges.push(GroupEdge {
+                    root: 0, // filled below once the unions settle
+                    frag_u: f,
+                    frag_v: g,
+                    u: cand.u,
+                    v: cand.v,
+                });
             }
         }
-        self.live_index_scratch = live_index;
-        pairs.sort_unstable();
-        group_edges.sort_by_key(|ge| ge.root);
+        // Group fragments and accepted edges by union-find root with stable
+        // counting sorts. `live` is ascending, so each class comes out as a
+        // contiguous run with members in ascending order, and the runs in
+        // ascending root order — the grouping a sort of `(root, fragment)`
+        // pairs gives. Edges keep their acceptance order within a group.
+        let mut roots = std::mem::take(&mut self.group_roots);
+        roots.clear();
+        for i in 0..nlive {
+            roots.push(self.uf.find(i) as u32);
+        }
+        let live_index = &self.live_index;
+        let root_of = |f: u32| roots[live_index[f as usize] as usize] as usize;
+        for ge in group_edges.iter_mut() {
+            ge.root = root_of(ge.frag_u) as u32;
+        }
+        let mut off = std::mem::take(&mut self.group_off);
+        let mut edges = std::mem::take(&mut self.group_edges_sorted);
+        counting_sort(
+            &group_edges,
+            nlive,
+            |ge| ge.root as usize,
+            &mut off,
+            &mut edges,
+        );
+        let mut frags = std::mem::take(&mut self.group_frags);
+        counting_sort(&self.live, nlive, |&f| root_of(f), &mut off, &mut frags);
         let mut ge_cursor = 0usize;
-        // Record new tree edges.
-        for e in &new_edges {
-            self.tree_adj[e.u as usize].push((e.v, e.w));
-            self.tree_adj[e.v as usize].push((e.u, e.w));
-            self.tree_edges.push(*e);
-        }
         let mut gather = std::mem::take(&mut self.member_gather);
+        let mut runs = std::mem::take(&mut self.member_runs);
         let mut new_ids = std::mem::take(&mut self.new_ids_scratch);
         new_ids.clear();
         let mut merged_groups = 0usize;
-        let mut i = 0usize;
-        while i < pairs.len() {
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                j += 1;
-            }
-            let group = &pairs[i..j];
-            i = j;
+        for r in 0..nlive {
+            let group = &frags[off[r] as usize..off[r + 1] as usize];
             if group.len() < 2 {
                 continue;
             }
@@ -1618,8 +1665,8 @@ impl GhsEngine {
             // keeps its id), else the higher endpoint of the group's core
             // edge (its minimum chosen edge, which both sides selected).
             let mut passive_id: Option<u32> = None;
-            for &(_, f) in group {
-                if self.passive.contains(&f) {
+            for &f in group {
+                if self.passive[f as usize] {
                     assert!(
                         passive_id.is_none(),
                         "two passive fragments cannot be joined (no fragment \
@@ -1633,11 +1680,9 @@ impl GhsEngine {
             } else {
                 let core = group
                     .iter()
-                    .filter_map(|&(_, f)| {
-                        chosen
-                            .binary_search_by_key(&f, |&(g, _)| g)
-                            .ok()
-                            .map(|k| &chosen[k].1)
+                    .filter_map(|&f| {
+                        let k = self.chosen_at[f as usize];
+                        (k != NONE).then(|| &chosen[k as usize].1)
                     })
                     .min_by(|a, b| {
                         a.key().0.total_cmp(&b.key().0).then_with(|| {
@@ -1650,70 +1695,81 @@ impl GhsEngine {
                 core.u.max(core.v)
             };
             // The new leader's pre-merge fragment — the BFS root of the
-            // fragment-level re-attachment walk below.
+            // fragment-level re-attachment walk below. A fragment's id is
+            // one of its members, so `new_id` was a live id iff it is
+            // `f_star`; otherwise it joins the live list below.
             let f_star = self.frag[new_id as usize];
-            // This group's slice of the accepted-edge list (both are
-            // sorted by union-find root; singleton groups own no edges,
-            // so skipping them cannot desynchronise the cursor).
+            if f_star != new_id {
+                new_ids.push(new_id);
+            }
+            // This group's slice of the accepted edges (both lists are in
+            // root order; singleton groups own no edges, so skipping them
+            // cannot desynchronise the cursor).
             let ge_start = ge_cursor;
-            while ge_cursor < group_edges.len() && group_edges[ge_cursor].root == group[0].0 {
+            while ge_cursor < edges.len() && edges[ge_cursor].root == r as u32 {
                 ge_cursor += 1;
             }
             debug_assert_eq!(ge_cursor - ge_start, group.len() - 1);
-            // Relabel members and re-root the merged tree at the new leader.
-            // Concatenation stays in group order (each list ascending) so
-            // `changed` — and thus announce order — is unchanged by the
-            // incremental member bookkeeping.
+            // Gather the member lists in group order (each list ascending, one
+            // run each) and relabel the absorbed ones, so `changed` — and
+            // thus announce order — is the concatenation order. A passive
+            // flag already sits on `new_id`; an inactive one ends with its
+            // fragment.
             gather.clear();
-            for &(_, f) in group {
+            runs.clear();
+            runs.push(0);
+            for &f in group {
+                let start = gather.len();
                 let mut u = self.frag_head[f as usize];
                 while u != NONE {
                     gather.push(u);
                     u = self.member_next[u as usize];
                 }
-                self.inactive.remove(&f);
-                if self.passive.contains(&f) && f != new_id {
-                    // The passive flag follows the surviving id.
-                    self.passive.remove(&f);
-                    self.passive.insert(new_id);
+                runs.push(gather.len() as u32);
+                if f != new_id {
+                    for &u in &gather[start..] {
+                        self.frag[u as usize] = new_id;
+                        self.changed_scratch.push(u);
+                    }
                 }
-            }
-            for &u in &gather {
-                if self.frag[u as usize] != new_id {
-                    self.frag[u as usize] = new_id;
-                    self.changed_scratch.push(u);
-                }
-            }
-            net.note_merge(new_id as usize, group.len() - 1, gather.len());
-            for &(_, f) in group {
+                self.inactive[f as usize] = false;
                 self.is_live[f as usize] = false;
             }
-            gather.sort_unstable();
+            net.note_merge(new_id as usize, group.len() - 1, gather.len());
+            // Splice the runs into one ascending list owned by `new_id`.
+            merge_runs(&mut gather, &mut self.merge_tmp, &mut runs);
             for w in gather.windows(2) {
                 self.member_next[w[0] as usize] = w[1];
             }
-            let head = gather[0];
-            let tail = *gather.last().unwrap();
+            let tail = *gather.last().expect("a merge group has members");
             self.member_next[tail as usize] = NONE;
-            self.frag_head[new_id as usize] = head;
+            self.frag_head[new_id as usize] = gather[0];
             self.frag_tail[new_id as usize] = tail;
             self.frag_size[new_id as usize] = gather.len() as u32;
             self.is_live[new_id as usize] = true;
-            new_ids.push(new_id);
-            self.reflip_group(new_id, f_star, group, &group_edges[ge_start..ge_cursor]);
+            self.reflip_group(new_id, f_star, group, &edges[ge_start..ge_cursor]);
         }
         if merged_groups > 0 {
-            // Rebuild the sorted live-id list: drop absorbed ids, insert the
-            // survivors (a surviving id may coincide with a group member, in
-            // which case `retain` already dropped it — reinsert).
-            let is_live = std::mem::take(&mut self.is_live);
-            self.live.retain(|&f| is_live[f as usize]);
-            self.is_live = is_live;
-            for &f in &new_ids {
-                if let Err(pos) = self.live.binary_search(&f) {
-                    self.live.insert(pos, f);
+            // Rebuild the ascending live-id list in one merge pass: the old
+            // list minus the absorbed ids, plus the fresh ids sorted by
+            // radix passes.
+            let mut next = std::mem::take(&mut self.live_scratch);
+            radix_sort_ids(&mut new_ids, &mut next, &mut off, self.n);
+            next.clear();
+            let mut fresh = new_ids.iter().copied().peekable();
+            for &f in &self.live {
+                if self.is_live[f as usize] {
+                    while let Some(g) = fresh.next_if(|&g| g < f) {
+                        next.push(g);
+                    }
+                    next.push(f);
                 }
             }
+            next.extend(fresh);
+            self.live_scratch = std::mem::replace(&mut self.live, next);
+        }
+        for &(f, _) in chosen {
+            self.chosen_at[f as usize] = NONE;
         }
         // Heal the stale cache entries detected above with the peer's
         // post-merge fragment id, so the proposer skips (or correctly
@@ -1726,39 +1782,18 @@ impl GhsEngine {
                 healed += 1;
             }
         }
-        self.group_pairs = pairs;
-        self.group_edges_scratch = group_edges;
         self.member_gather = gather;
+        self.member_runs = runs;
+        self.group_roots = roots;
+        self.group_off = off;
+        self.group_frags = frags;
+        self.group_edges_scratch = group_edges;
+        self.group_edges_sorted = edges;
         self.new_ids_scratch = new_ids;
         MergeResult {
             merged_groups,
             healed,
         }
-    }
-
-    /// Re-roots the fragment containing `leader` at `leader` by BFS over
-    /// the accumulated tree adjacency, rebuilding parent/child pointers.
-    fn reroot(&mut self, leader: u32) {
-        self.visit_epoch += 1;
-        let epoch = self.visit_epoch;
-        self.visit_mark[leader as usize] = epoch;
-        self.parent[leader as usize] = leader;
-        self.parent_energy[leader as usize] = f64::INFINITY;
-        let mut queue = std::mem::take(&mut self.bfs_queue);
-        queue.clear();
-        queue.push_back(leader);
-        while let Some(u) = queue.pop_front() {
-            for i in 0..self.tree_adj[u as usize].len() {
-                let v = self.tree_adj[u as usize][i].0;
-                if self.visit_mark[v as usize] != epoch {
-                    self.visit_mark[v as usize] = epoch;
-                    self.parent[v as usize] = u;
-                    self.parent_energy[v as usize] = f64::INFINITY;
-                    queue.push_back(v);
-                }
-            }
-        }
-        self.bfs_queue = queue;
     }
 
     /// Reverses the parent chain from `r` to its old root, making `r` the
@@ -1787,44 +1822,24 @@ impl GhsEngine {
     /// whole-fragment BFS it replaces; the final parent orientation
     /// ("towards `new_id`") is unique on a tree, so the result is
     /// bit-identical.
-    fn reflip_group(
-        &mut self,
-        new_id: u32,
-        f_star: u32,
-        group: &[(u32, u32)],
-        edges: &[GroupEdge],
-    ) {
+    fn reflip_group(&mut self, new_id: u32, f_star: u32, group: &[u32], edges: &[GroupEdge]) {
         let k = group.len();
         let local = |f: u32| {
             group
-                .binary_search_by_key(&f, |&(_, g)| g)
+                .binary_search(&f)
                 .expect("edge endpoint outside its merge group")
         };
-        // CSR adjacency over the group's dense fragment indices.
+        // Adjacency over the group's dense fragment indices: each edge's
+        // two `(endpoint, edge)` arcs, grouped by endpoint.
+        let mut arcs = std::mem::take(&mut self.reflip_arcs);
         let mut off = std::mem::take(&mut self.reflip_off);
-        let mut cur = std::mem::take(&mut self.reflip_cur);
         let mut adj = std::mem::take(&mut self.reflip_adj);
-        off.clear();
-        off.resize(k + 1, 0);
-        for e in edges {
-            off[local(e.frag_u) + 1] += 1;
-            off[local(e.frag_v) + 1] += 1;
-        }
-        for i in 0..k {
-            let prev = off[i];
-            off[i + 1] += prev;
-        }
-        cur.clear();
-        cur.extend_from_slice(&off[..k]);
-        adj.clear();
-        adj.resize(2 * edges.len(), 0);
+        arcs.clear();
         for (ei, e) in edges.iter().enumerate() {
-            for f in [e.frag_u, e.frag_v] {
-                let l = local(f);
-                adj[cur[l] as usize] = ei as u32;
-                cur[l] += 1;
-            }
+            let ei = ei as u32;
+            arcs.extend([(local(e.frag_u) as u32, ei), (local(e.frag_v) as u32, ei)]);
         }
+        counting_sort(&arcs, k, |&(l, _)| l as usize, &mut off, &mut adj);
         let mut visited = std::mem::take(&mut self.reflip_visited);
         visited.clear();
         visited.resize(k, false);
@@ -1836,8 +1851,8 @@ impl GhsEngine {
         self.flip_to_root(new_id);
         while let Some(fi) = queue.pop_front() {
             let fi = fi as usize;
-            for ai in off[fi] as usize..off[fi + 1] as usize {
-                let e = edges[adj[ai] as usize];
+            for &(_, ei) in &adj[off[fi] as usize..off[fi + 1] as usize] {
+                let e = edges[ei as usize];
                 // Orient the edge away from the visited side.
                 let (child_f, attach, connector) = if local(e.frag_u) == fi {
                     (e.frag_v, e.v, e.u)
@@ -1854,8 +1869,8 @@ impl GhsEngine {
                 }
             }
         }
+        self.reflip_arcs = arcs;
         self.reflip_off = off;
-        self.reflip_cur = cur;
         self.reflip_adj = adj;
         self.reflip_visited = visited;
         self.reflip_queue = queue;
@@ -1942,12 +1957,13 @@ impl GhsEngine {
             let mut ok = self.charge_broadcast(net, &gather, kinds.size); // size request
             ok &= self.charge_convergecast(net, &gather, kinds.size); // partial sums
             ok &= self.charge_broadcast(net, &gather, kinds.size); // verdict
-                                                                   // A fragment whose size traffic was lost cannot prove its size
-                                                                   // and must not go passive (passivation on a wrong count would
-                                                                   // freeze a fragment that still needs to merge).
+
+            // A fragment whose size traffic was lost cannot prove its size
+            // and must not go passive (passivation on a wrong count would
+            // freeze a fragment that still needs to merge).
             let passive = ok && gather.len() as f64 > threshold;
             if passive {
-                self.passive.insert(f);
+                self.passive[f as usize] = true;
             }
             rows.push((f as usize, gather.len(), passive));
         }
@@ -1956,6 +1972,93 @@ impl GhsEngine {
         net.advance_rounds(3 * max_depth + extra);
         rows.sort_unstable_by_key(|r| std::cmp::Reverse(r.1));
         rows
+    }
+}
+
+/// Stable counting sort: writes `items` into `out` grouped by bucket
+/// `key(item) < buckets`, and bucket `b`'s range into `off[b]..off[b + 1]`.
+/// Linear in items plus buckets, with no comparisons; both buffers are
+/// reused.
+fn counting_sort<T: Copy + Default>(
+    items: &[T],
+    buckets: usize,
+    key: impl Fn(&T) -> usize,
+    off: &mut Vec<u32>,
+    out: &mut Vec<T>,
+) {
+    off.clear();
+    off.resize(buckets + 2, 0);
+    for x in items {
+        off[key(x) + 2] += 1;
+    }
+    for b in 2..off.len() {
+        off[b] += off[b - 1];
+    }
+    // `off[b + 1]` now holds bucket `b`'s start; placing moves it to the end.
+    out.clear();
+    out.resize(items.len(), T::default());
+    for x in items {
+        let slot = &mut off[key(x) + 1];
+        out[*slot as usize] = *x;
+        *slot += 1;
+    }
+    off.pop();
+}
+
+/// Merges the ascending runs of `buf` (run `i` spans `runs[i]..runs[i + 1]`)
+/// into one ascending sequence left in `buf`, pairing adjacent runs level
+/// by level: `s` items in `k` runs cost O(s log k), with no comparison
+/// sort. Items are distinct, so the result is the one order a sort of the
+/// concatenation gives. `tmp` is reusable scratch; `runs` is consumed.
+fn merge_runs(buf: &mut Vec<u32>, tmp: &mut Vec<u32>, runs: &mut Vec<u32>) {
+    while runs.len() > 2 {
+        tmp.clear();
+        // Merged runs keep their offsets, so the bounds compact in place.
+        let mut kept = 0;
+        for i in (0..runs.len() - 1).step_by(2) {
+            let (lo, mid) = (runs[i] as usize, runs[i + 1] as usize);
+            match runs.get(i + 2) {
+                Some(&hi) => {
+                    let (a, b) = (&buf[lo..mid], &buf[mid..hi as usize]);
+                    let (mut x, mut y) = (0, 0);
+                    while x < a.len() && y < b.len() {
+                        if a[x] < b[y] {
+                            tmp.push(a[x]);
+                            x += 1;
+                        } else {
+                            tmp.push(b[y]);
+                            y += 1;
+                        }
+                    }
+                    tmp.extend_from_slice(&a[x..]);
+                    tmp.extend_from_slice(&b[y..]);
+                }
+                None => tmp.extend_from_slice(&buf[lo..mid]),
+            }
+            runs[kept] = lo as u32;
+            kept += 1;
+        }
+        runs[kept] = buf.len() as u32;
+        runs.truncate(kept + 1);
+        std::mem::swap(buf, tmp);
+    }
+}
+
+/// Sorts distinct ids below `n` ascending by least-significant-digit
+/// passes of [`counting_sort`] over 11-bit digits (two passes for up to
+/// 2²² ids); `tmp` and `off` are reusable scratch.
+fn radix_sort_ids(ids: &mut Vec<u32>, tmp: &mut Vec<u32>, off: &mut Vec<u32>, n: usize) {
+    const BITS: u32 = 11;
+    if ids.len() < 2 {
+        return;
+    }
+    let max = n.saturating_sub(1) as u64;
+    let mut shift = 0;
+    while shift < u32::BITS && max >> shift > 0 {
+        let digit = |&x: &u32| ((x >> shift) & ((1 << BITS) - 1)) as usize;
+        counting_sort(ids, 1 << BITS, digit, off, tmp);
+        std::mem::swap(ids, tmp);
+        shift += BITS;
     }
 }
 
@@ -1991,7 +2094,7 @@ impl MoeSlot {
 /// endpoints and, once the union-find settles, its merge-group root —
 /// together the edges of one group form the fragment-level spanning tree
 /// the group's trees are re-attached along.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct GroupEdge {
     /// Union-find root (dense index) identifying the merge group.
     root: u32,
@@ -2315,6 +2418,270 @@ mod tests {
         // mutually-chosen core edges: between n−1 and 2(n−1).
         let connects = out.stats.ledger.kind("ghs/connect").messages;
         assert!((149..=298).contains(&connects), "connects = {connects}");
+    }
+
+    /// Passive and inactive fragment ids, ascending.
+    fn flagged(eng: &GhsEngine) -> (Vec<u32>, Vec<u32>) {
+        let ids = |slab: &[bool]| {
+            (0..slab.len() as u32)
+                .filter(|&f| slab[f as usize])
+                .collect()
+        };
+        (ids(&eng.passive), ids(&eng.inactive))
+    }
+
+    /// The merge arena's invariants: `live` is ascending and equals the
+    /// `is_live` ids; each live fragment's member list is strictly
+    /// ascending, `frag_size` long, labelled with the fragment and rooted
+    /// at it; the lists partition the nodes; flags sit on live ids only.
+    fn check_arena(eng: &GhsEngine, ctx: &str) {
+        let n = eng.n;
+        assert!(
+            eng.live.windows(2).all(|w| w[0] < w[1]),
+            "{ctx}: live not ascending"
+        );
+        let flagged_live: Vec<u32> = (0..n as u32).filter(|&f| eng.is_live[f as usize]).collect();
+        assert_eq!(eng.live, flagged_live, "{ctx}: live != is_live ids");
+        let mut covered = 0;
+        for &f in &eng.live {
+            let members: Vec<usize> = eng.members_of(f as usize).collect();
+            assert!(
+                members.windows(2).all(|w| w[0] < w[1]),
+                "{ctx}: members of {f} not strictly ascending"
+            );
+            assert_eq!(
+                members.len(),
+                eng.frag_size[f as usize] as usize,
+                "{ctx}: size of {f}"
+            );
+            for &u in &members {
+                assert_eq!(eng.frag[u], f, "{ctx}: frag[{u}]");
+                let mut root = u;
+                for _ in 0..members.len() {
+                    root = eng.parent[root] as usize;
+                }
+                assert_eq!(
+                    root, f as usize,
+                    "{ctx}: parent chain of {u} does not end at {f}"
+                );
+            }
+            covered += members.len();
+        }
+        assert_eq!(covered, n, "{ctx}: member lists must partition the nodes");
+        let (passive, inactive) = flagged(eng);
+        for f in passive.iter().chain(&inactive) {
+            assert!(eng.is_live[*f as usize], "{ctx}: flag on dead id {f}");
+        }
+    }
+
+    /// Runs `eng` to quiescence one `phase()` at a time — stopping like
+    /// `run_phases` does — and checks the arena after every phase, plus
+    /// that each passive fragment keeps its id and its flag. Returns the
+    /// most fragments a passive one absorbed in a single phase.
+    fn phases_checked(
+        eng: &mut GhsEngine,
+        net: &mut RadioNet<'_>,
+        kinds: &GhsKinds,
+        ctx: &str,
+    ) -> usize {
+        check_arena(eng, ctx);
+        let (mut barren, mut most_absorbed) = (0, 0);
+        loop {
+            let passive_before = eng.passive_fragments();
+            let live_before = eng.live.clone();
+            let merged = eng.phase(net, kinds);
+            let ctx = format!("{ctx}, phase {}", eng.phases());
+            check_arena(eng, &ctx);
+            let passive_after = eng.passive_fragments();
+            for &p in &passive_before {
+                assert!(
+                    passive_after.contains(&p),
+                    "{ctx}: passive {p} lost its id or flag"
+                );
+                // Node `g` was in fragment `g` before the phase.
+                let absorbed = live_before
+                    .iter()
+                    .filter(|&&g| g as usize != p && eng.frag_of(g as usize) == p)
+                    .count();
+                most_absorbed = most_absorbed.max(absorbed);
+            }
+            if eng.faults.is_none() {
+                if merged == 0 {
+                    break;
+                }
+            } else if merged > 0 || eng.healed_last_phase > 0 {
+                barren = 0;
+            } else {
+                barren += 1;
+                if barren == GhsEngine::DEFAULT_PATIENCE {
+                    break;
+                }
+            }
+        }
+        most_absorbed
+    }
+
+    fn kruskal_tree(points: &[Point], radius: f64) -> SpanningTree {
+        SpanningTree::new(
+            points.len(),
+            kruskal_forest(&Graph::geometric(points, radius)),
+        )
+    }
+
+    #[test]
+    fn merge_arena_invariants_hold_after_every_phase() {
+        use crate::EoptConfig;
+        use emst_radio::AwakeSchedule;
+        let n = 400;
+        let kinds = GhsKinds::for_scope("ghs");
+        let mut giant_absorbed = Vec::new();
+        for seed in 0..4 {
+            let pts = uniform_points(n, &mut trial_rng(114, seed));
+            let r = paper_phase2_radius(n);
+            let reference = kruskal_tree(&pts, r);
+
+            // Every variant from singletons.
+            for variant in [
+                GhsVariant::Original,
+                GhsVariant::Modified,
+                GhsVariant::LowAwake,
+            ] {
+                let mut net = RadioNet::new(&pts, r);
+                if variant == GhsVariant::LowAwake {
+                    net.set_awake(AwakeSchedule::new(n));
+                }
+                let mut eng = GhsEngine::new(&net, variant);
+                eng.discover(&mut net, r, kinds);
+                phases_checked(
+                    &mut eng,
+                    &mut net,
+                    kinds,
+                    &format!("seed {seed}, {variant:?}"),
+                );
+                assert!(
+                    eng.tree().same_edges(&reference),
+                    "seed {seed}, {variant:?}"
+                );
+            }
+
+            // EOPT: step 1, size classification, then step 2 with the
+            // passive giant absorbing the small fragments.
+            let cfg = EoptConfig::default();
+            let (r1, r2) = (cfg.radius1(n), cfg.radius2(n).max(cfg.radius1(n)));
+            let (k1, k2) = (GhsKinds::for_scope("eopt1"), GhsKinds::for_scope("eopt2"));
+            let mut net = RadioNet::new(&pts, r2);
+            let mut eng = GhsEngine::new(&net, GhsVariant::Modified);
+            eng.discover(&mut net, r1, k1);
+            let ctx = format!("seed {seed}, eopt");
+            phases_checked(&mut eng, &mut net, k1, &format!("{ctx} step 1"));
+            eng.classify_passive_by_size(&mut net, cfg.giant_threshold(n), k1);
+            check_arena(&eng, &format!("{ctx} size"));
+            assert!(
+                !eng.passive_fragments().is_empty(),
+                "{ctx}: no giant declared"
+            );
+            eng.discover(&mut net, r2, k2);
+            giant_absorbed.push(phases_checked(
+                &mut eng,
+                &mut net,
+                k2,
+                &format!("{ctx} step 2"),
+            ));
+            if eng.passive_fragments().len() > 1 {
+                eng.clear_passive();
+                phases_checked(&mut eng, &mut net, k2, &format!("{ctx} recovery"));
+            }
+            assert!(eng.tree().same_edges(&kruskal_tree(&pts, r2)), "{ctx}");
+
+            // Maintain/repair start: a seeded forest (the MST minus every
+            // fifth edge) with its largest fragment passive.
+            let seeded: Vec<(usize, usize, f64)> = reference
+                .edges()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 5 != 0)
+                .map(|(_, e)| (e.u as usize, e.v as usize, e.w))
+                .collect();
+            let mut net = RadioNet::new(&pts, r);
+            let mut eng = GhsEngine::new(&net, GhsVariant::Modified);
+            eng.seed_forest(&seeded);
+            let (trunk, _) = eng.largest_fragment().expect("non-empty");
+            eng.mark_passive(trunk);
+            eng.discover(&mut net, r, kinds);
+            let ctx = format!("seed {seed}, seeded");
+            phases_checked(&mut eng, &mut net, kinds, &ctx);
+            assert_eq!(
+                eng.live_fragments(),
+                &[trunk as u32],
+                "{ctx}: trunk keeps its id"
+            );
+            assert!(eng.tree().same_edges(&reference), "{ctx}");
+
+            // Lossy fault plans: drops, retries, stale caches — and, at the
+            // higher rate, tables asymmetric enough that a fragment marked
+            // exhausted is still chosen, and absorbed, by a neighbour.
+            for (drop, variant) in [0.2, 0.6]
+                .into_iter()
+                .flat_map(|p| [(p, GhsVariant::Original), (p, GhsVariant::Modified)])
+            {
+                let mut net = RadioNet::new(&pts, r);
+                net.set_faults(
+                    FaultPlan::none()
+                        .seed(seed)
+                        .drop_probability(drop)
+                        .retries(1),
+                );
+                let mut eng = GhsEngine::new(&net, variant);
+                eng.discover(&mut net, r, kinds);
+                let ctx = format!("seed {seed}, lossy {drop} {variant:?}");
+                phases_checked(&mut eng, &mut net, kinds, &ctx);
+            }
+        }
+        assert!(
+            giant_absorbed.iter().all(|&k| k >= 2),
+            "a passive giant should absorb several fragments in one phase: {giant_absorbed:?}"
+        );
+    }
+
+    #[test]
+    fn merge_sort_helpers_match_a_comparison_sort() {
+        use rand::Rng;
+        let mut rng = trial_rng(115, 0);
+        let mut off = Vec::new();
+        let (mut tmp, mut out) = (Vec::new(), Vec::new());
+        // Counting sort is stable and reports bucket bounds.
+        let items: Vec<(u32, u32)> = (0..500).map(|i| (rng.gen_range(0..37u32), i)).collect();
+        counting_sort(&items, 37, |&(k, _)| k as usize, &mut off, &mut out);
+        let mut expected = items.clone();
+        expected.sort_by_key(|&(k, _)| k);
+        assert_eq!(out, expected);
+        for b in 0..37 {
+            let bucket = &out[off[b] as usize..off[b + 1] as usize];
+            assert!(bucket.iter().all(|&(k, _)| k == b as u32));
+        }
+        // Radix passes sort distinct ids, across one and several digits.
+        for n in [1usize, 2, 3000, 5_000_000] {
+            let mut ids: Vec<u32> = (0..n as u32).step_by((n / 700).max(1)).rev().collect();
+            let third = ids.len() / 3;
+            ids.rotate_left(third);
+            let mut expected = ids.clone();
+            expected.sort_unstable();
+            radix_sort_ids(&mut ids, &mut tmp, &mut off, n);
+            assert_eq!(ids, expected, "n = {n}");
+        }
+        // Run merge over 1..=9 ascending runs of distinct ids.
+        for k in 1..=9u32 {
+            let mut buf: Vec<u32> = Vec::new();
+            let mut runs = vec![0u32];
+            for run in 0..k {
+                buf.extend((0..=run * 3).map(|i| i * k + run));
+                runs.push(buf.len() as u32);
+            }
+            let mut expected = buf.clone();
+            expected.sort_unstable();
+            merge_runs(&mut buf, &mut tmp, &mut runs);
+            assert_eq!(buf, expected, "k = {k}");
+        }
     }
 
     #[test]

@@ -30,6 +30,20 @@ impl UnionFind {
         }
     }
 
+    /// Resets to `n` singleton sets — the state [`UnionFind::new`] builds —
+    /// reusing the allocations, so a per-round union-find costs no heap
+    /// traffic once its buffers have grown.
+    pub fn reset(&mut self, n: usize) {
+        assert!(n < u32::MAX as usize, "too many elements for u32 indices");
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.size.clear();
+        self.size.resize(n, 1);
+        self.sets = n;
+    }
+
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -164,6 +178,26 @@ mod tests {
         let root = uf.find(0);
         for i in 0..n {
             assert_eq!(uf.find(i), root);
+        }
+    }
+
+    #[test]
+    fn reset_reproduces_a_fresh_structure() {
+        let mut uf = UnionFind::new(8);
+        uf.union(0, 1);
+        uf.union(2, 3);
+        uf.union(1, 3);
+        uf.reset(5);
+        assert_eq!(uf.set_count(), 5);
+        assert_eq!(uf.len(), 5);
+        // The same union sequence picks the same roots as on a new one.
+        let mut fresh = UnionFind::new(5);
+        for (a, b) in [(3, 4), (0, 4), (1, 2), (2, 0)] {
+            assert_eq!(uf.union(a, b), fresh.union(a, b));
+        }
+        for i in 0..5 {
+            assert_eq!(uf.find(i), fresh.find(i));
+            assert_eq!(uf.set_size(i), fresh.set_size(i));
         }
     }
 
