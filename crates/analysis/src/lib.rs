@@ -1,6 +1,6 @@
 //! # emst-analysis — experiment harness substrate
 //!
-//! Dependency-free statistics and sweep machinery used by the bench
+//! Statistics, sweep machinery and file formats used by the bench
 //! binaries that regenerate the paper's tables and figures:
 //!
 //! * [`Summary`] — mean/σ/median/CI of trial samples;
@@ -11,8 +11,14 @@
 //! * [`parallel_map`] — scoped-thread, order-preserving parallel map;
 //! * [`Table`] — fixed-width and CSV table emission;
 //! * [`metrics`] — table renderers over a run's
-//!   [`MetricsSink`](emst_radio::MetricsSink) aggregates.
+//!   [`MetricsSink`](emst_radio::MetricsSink) aggregates;
+//! * [`json`] — the workspace's one JSON parser (request bodies, BENCH
+//!   documents);
+//! * [`bench_doc`] — one typed document per BENCH schema, the single
+//!   owner of each `BENCH_*.json` format.
 
+pub mod bench_doc;
+pub mod json;
 pub mod metrics;
 pub mod parallel;
 pub mod regression;

@@ -19,38 +19,16 @@
 //! fragment's stage work is done and exhausted fragments sleep whole
 //! stages. The sweep **asserts** it beats plain `ghs_modified` on awake
 //! max at the largest measured size — the same pin `bench_summary
-//! --awake-schema` re-checks on the committed `BENCH_awake.json`
+//! --check` re-checks on the committed `BENCH_awake.json`
 //! (`bench_awake/v1`).
 //!
 //! Run: `cargo run --release -p emst-bench --bin awake_sweep [-- --trials N --quick --csv]`
 
+use emst_analysis::bench_doc::{AwakeDoc, AwakeRow};
 use emst_analysis::{fnum, Table};
 use emst_bench::{instance, run_trials, Options};
-use emst_core::{GhsVariant, Protocol, RankScheme, Sim};
+use emst_core::{Protocol, Sim};
 use emst_geom::paper_phase2_radius;
-
-/// Per-`(n, protocol)` aggregates over the trial fan-out.
-#[derive(Default, Clone, Copy)]
-struct Row {
-    awake_total: f64,
-    awake_max: f64,
-    energy: f64,
-    messages: f64,
-    rounds: f64,
-}
-
-fn protocols() -> [(&'static str, Protocol, bool); 4] {
-    [
-        (
-            "ghs_modified",
-            Protocol::Ghs(GhsVariant::Modified),
-            true, // needs a radius
-        ),
-        ("ghs_lowawake", Protocol::Ghs(GhsVariant::LowAwake), true),
-        ("eopt", Protocol::Eopt(Default::default()), false),
-        ("co_nnt", Protocol::Nnt(RankScheme::Diagonal), false),
-    ]
-}
 
 fn main() {
     let opts = Options::from_env();
@@ -65,8 +43,7 @@ fn main() {
         opts.trials, opts.seed
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut wins: Vec<(usize, f64, f64)> = Vec::new();
+    let mut doc_rows: Vec<AwakeRow> = Vec::new();
     for &n in &sizes {
         let radius = paper_phase2_radius(n);
         let mut table = Table::new([
@@ -78,14 +55,13 @@ fn main() {
             "messages",
             "rounds",
         ]);
-        let mut ghs_max = None;
-        let mut low_max = None;
-        for (name, protocol, needs_radius) in protocols() {
+        for name in ["ghs_modified", "ghs_lowawake", "eopt", "co_nnt"] {
+            let protocol = Protocol::from_name(name, 0).expect("registered protocol");
             let trials = opts.trials as f64;
             let samples = run_trials(&opts, |t| {
                 let pts = instance(opts.seed, n, t);
                 let mut sim = Sim::new(&pts).awake(true);
-                if needs_radius {
+                if protocol.needs_radius() {
                     sim = sim.radius(radius);
                 }
                 let out = sim.run(protocol);
@@ -98,18 +74,21 @@ fn main() {
                     out.stats.rounds,
                 )
             });
-            let mut row = Row::default();
+            let mut row = AwakeRow {
+                n,
+                protocol,
+                awake_total: 0.0,
+                awake_max: 0.0,
+                energy: 0.0,
+                messages: 0.0,
+                rounds: 0.0,
+            };
             for (total, max, energy, messages, rounds) in samples {
                 row.awake_total += total as f64 / trials;
                 row.awake_max += max as f64 / trials;
                 row.energy += energy / trials;
                 row.messages += messages as f64 / trials;
                 row.rounds += rounds as f64 / trials;
-            }
-            match name {
-                "ghs_modified" => ghs_max = Some(row.awake_max),
-                "ghs_lowawake" => low_max = Some(row.awake_max),
-                _ => {}
             }
             table.row([
                 name.into(),
@@ -120,18 +99,8 @@ fn main() {
                 fnum(row.messages, 0),
                 fnum(row.rounds, 1),
             ]);
-            json_rows.push(format!(
-                "    {{\"n\": {n}, \"protocol\": \"{name}\", \"awake_total\": {:.1}, \
-                 \"awake_max\": {:.1}, \"energy\": {:.4}, \"messages\": {:.1}, \
-                 \"rounds\": {:.1}}}",
-                row.awake_total, row.awake_max, row.energy, row.messages, row.rounds,
-            ));
+            doc_rows.push(row);
         }
-        wins.push((
-            n,
-            low_max.expect("lowawake row present"),
-            ghs_max.expect("ghs row present"),
-        ));
         println!("-- awake complexity (n = {n}) --");
         println!("{}", table.render());
         if opts.csv {
@@ -141,36 +110,16 @@ fn main() {
 
     // The point of the low-awake variant: at scale its worst node must be
     // awake for strictly fewer rounds than under plain GHS (whose every
-    // node is up for the whole run). Enforced at the largest measured
-    // size (n = 2000 in a full run).
-    let largest = *sizes.iter().max().expect("sizes is non-empty");
-    let win = wins.iter().any(|&(n, low, ghs)| n == largest && low < ghs);
-    for &(n, low, ghs) in &wins {
-        eprintln!(
-            "win check: n={n}: lowawake max {low:.1} vs ghs max {ghs:.1} -> {}",
-            if low < ghs {
-                "lowawake wins"
-            } else {
-                "ghs wins"
-            }
-        );
-    }
-    assert!(
-        win,
-        "ghs_lowawake never beat ghs_modified on max awake rounds at n={largest}"
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"bench_awake/v1\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"trials\": {},\n", opts.trials));
-    json.push_str(&format!(
-        "  \"lowawake_win\": {{\"n\": {largest}, \"pass\": {win}}},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
+    // node is up for the whole run), at the largest measured size
+    // (n = 2000 in a full run). The document owns that pin.
+    let doc = AwakeDoc {
+        seed: opts.seed,
+        trials: opts.trials,
+        lowawake_win: AwakeDoc::lowawake_win_of(&doc_rows),
+        rows: doc_rows,
+    };
+    doc.check().unwrap_or_else(|e| panic!("{e}"));
     let path = "BENCH_awake.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_awake.json");
+    std::fs::write(path, doc.render()).expect("cannot write BENCH_awake.json");
     eprintln!("wrote {path}");
 }

@@ -41,28 +41,17 @@
 //! Both guards compare *best* reps so scheduler noise on shared CI
 //! runners doesn't flake the check.
 //!
-//! With `--churn-schema PATH`, the binary instead validates that the
-//! `BENCH_churn.json` at PATH parses under the `bench_churn/v1` schema
-//! (schema tag, top-level fields, every row carrying every column with
-//! parseable values, zero recorded invariant violations) and exits —
-//! the CI guard that `churn_sweep` output stays consumable by the
-//! tooling that reads it.
-//!
-//! With `--service-schema PATH`, it likewise validates a
-//! `BENCH_service.json` under the `bench_service/v1` schema (schema
-//! tag, every field present and parseable, finite positive throughput,
-//! p50 ≤ p99, hit rate in [0, 1], zero server errors) — the CI guard
-//! that `load_gen` output stays consumable.
-//!
-//! With `--awake-schema PATH`, it validates a `BENCH_awake.json` under
-//! the `bench_awake/v1` schema (schema tag, every row carrying every
-//! column with parseable values) **and re-checks the low-awake pin**: at
-//! the largest measured n, `ghs_lowawake` must beat `ghs_modified` on
-//! max-per-node awake rounds — the CI guard that the committed sweep
-//! output still certifies the variant's headline claim.
+//! With `--check PATH`, the binary instead parses the BENCH document at
+//! PATH as whichever schema its `schema` tag names (`bench_core/v1`,
+//! `fault_sweep/v2`, `bench_churn/v1`, `bench_awake/v1`,
+//! `bench_service/v2`), checks that schema's invariants
+//! ([`emst_analysis::bench_doc`]: zero violations, the low-awake pin,
+//! p50 ≤ p99, hit rate in [0, 1], no 5xx, …) and exits non-zero on any
+//! failure — the CI guard that every writer's output stays consumable.
 
+use emst_analysis::bench_doc::{self, CoreDoc, CoreRow, FlatGuard, WallGuard};
 use emst_bench::Options;
-use emst_core::{EoptConfig, GhsVariant, Instance, Protocol, RankScheme, Sim};
+use emst_core::{Instance, Protocol, Sim};
 use emst_geom::paper_phase2_radius;
 use std::time::Instant;
 
@@ -85,279 +74,31 @@ const FLAT_MIN_RATIO: f64 = 0.3;
 /// traffic and the reactive fleets are quadratic-ish time sinks there).
 const LARGE_SIZES: [usize; 2] = [20_000, 100_000];
 
-struct Row {
-    protocol: &'static str,
-    n: usize,
-    mean_ms: f64,
-    best_ms: f64,
-    nodes_per_s: f64,
-    messages: u64,
-    /// Per-message throughput of the best rep — what the flatness guard
-    /// compares.
-    best_msgs_per_s: f64,
-}
-
-fn protocols(n: usize, large_only: bool) -> Vec<(&'static str, Protocol)> {
-    let mut v = vec![
-        ("ghs_modified", Protocol::Ghs(GhsVariant::Modified)),
-        ("eopt", Protocol::Eopt(EoptConfig::default())),
-    ];
-    if !large_only {
-        v.insert(0, ("ghs_original", Protocol::Ghs(GhsVariant::Original)));
-        v.push(("co_nnt", Protocol::Nnt(RankScheme::Diagonal)));
-        v.push(("bfs", Protocol::Bfs { root: n / 2 }));
-    }
-    v
-}
-
-/// Extracts the raw text of `key`'s value from a single-line JSON
-/// object (the hand-rolled row format both sweep writers emit).
-fn field<'a>(obj: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\": ");
-    let start = obj
-        .find(&pat)
-        .unwrap_or_else(|| panic!("row missing key {key:?}: {obj}"))
-        + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim()
-}
-
-/// Validates a `BENCH_churn.json` against the `bench_churn/v1` schema:
-/// schema tag, top-level fields, at least one row, every row carrying
-/// every column with a parseable value, and zero recorded invariant
-/// violations. Panics (non-zero exit) on any mismatch.
-fn validate_churn_schema(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    assert!(
-        text.contains("\"schema\": \"bench_churn/v1\""),
-        "{path}: missing or wrong schema tag (want bench_churn/v1)"
-    );
-    for key in ["seed", "trials", "epochs", "violations", "incremental_win"] {
-        assert!(
-            text.contains(&format!("\"{key}\": ")),
-            "{path}: missing top-level field {key:?}"
-        );
-    }
-    let header = text
-        .split("\"rows\": [")
-        .next()
-        .expect("split yields at least one piece");
-    let total_violations: u64 = field(header, "violations")
-        .parse()
-        .unwrap_or_else(|e| panic!("{path}: unparseable violations count: {e}"));
-    assert!(
-        total_violations == 0,
-        "{path}: records {total_violations} invariant violations"
-    );
-    let rows_at = text
-        .find("\"rows\": [")
-        .unwrap_or_else(|| panic!("{path}: missing rows array"));
-    let mut rows = 0usize;
-    for line in text[rows_at..].lines().skip(1) {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            break;
-        }
-        let obj = line.trim_end_matches(',');
-        rows += 1;
-        let strategy = field(obj, "strategy");
-        assert!(
-            strategy == "\"incremental\"" || strategy == "\"recompute\"",
-            "{path}: unknown strategy {strategy} in row {rows}"
-        );
-        for key in ["n", "epochs", "messages", "violations"] {
-            field(obj, key)
-                .parse::<f64>()
-                .unwrap_or_else(|e| panic!("{path}: row {rows} field {key:?}: {e}"));
-        }
-        for key in [
-            "rate",
-            "bootstrap_energy",
-            "maintenance_energy",
-            "energy_per_round",
-            "rounds",
-            "edges_added",
-            "edges_removed",
-        ] {
-            let value: f64 = field(obj, key)
-                .parse()
-                .unwrap_or_else(|e| panic!("{path}: row {rows} field {key:?}: {e}"));
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{path}: row {rows} field {key:?} is {value}"
-            );
-        }
-    }
-    assert!(rows > 0, "{path}: rows array is empty");
-    println!("churn schema: {path} parses as bench_churn/v1 ({rows} rows, 0 violations)");
-}
-
-/// Validates a `BENCH_service.json` against the `bench_service/v1`
-/// schema: schema tag, every field present with a parseable value,
-/// finite positive throughput, latency percentiles ordered, cache hit
-/// rate in [0, 1], and zero server errors. Panics (non-zero exit) on
-/// any mismatch.
-fn validate_service_schema(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    // v2 = v1 + retry accounting (`retries`, `turnaways`) from the
-    // backoff-aware load generator; v1 documents stay valid.
-    let v2 = text.contains("\"schema\": \"bench_service/v2\"");
-    assert!(
-        v2 || text.contains("\"schema\": \"bench_service/v1\""),
-        "{path}: missing or wrong schema tag (want bench_service/v1 or /v2)"
-    );
-    let num = |key: &str| -> f64 {
-        field(&text, key)
-            .parse()
-            .unwrap_or_else(|e| panic!("{path}: field {key:?}: {e}"))
+/// The timed protocols at `n`, by registry name (BFS floods from the
+/// middle node).
+fn protocols(n: usize, large_only: bool) -> Vec<Protocol> {
+    let names: &[&str] = if large_only {
+        &["ghs_modified", "eopt"]
+    } else {
+        &["ghs_original", "ghs_modified", "eopt", "co_nnt", "bfs"]
     };
-    for key in [
-        "clients",
-        "requests",
-        "n",
-        "cold_ratio",
-        "warm_keys",
-        "wall_s",
-        "cache_hits",
-        "cache_misses",
-        "cache_evictions",
-        "responses_2xx",
-        "responses_4xx",
-    ] {
-        let value = num(key);
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "{path}: field {key:?} is {value}"
-        );
-    }
-    assert!(
-        field(&text, "protocol").starts_with('"'),
-        "{path}: field \"protocol\" is not a string"
-    );
-    let rps = num("rps");
-    assert!(
-        rps.is_finite() && rps > 0.0,
-        "{path}: rps is {rps} (want finite > 0)"
-    );
-    let (p50, p99) = (num("p50_ms"), num("p99_ms"));
-    assert!(
-        p50.is_finite() && p99.is_finite() && 0.0 <= p50 && p50 <= p99,
-        "{path}: latency percentiles disordered (p50 {p50} ms, p99 {p99} ms)"
-    );
-    let hit_rate = num("cache_hit_rate");
-    assert!(
-        (0.0..=1.0).contains(&hit_rate),
-        "{path}: cache_hit_rate is {hit_rate} (want [0, 1])"
-    );
-    let server_5xx = num("responses_5xx");
-    assert!(
-        server_5xx == 0.0,
-        "{path}: records {server_5xx} server errors (5xx)"
-    );
-    let mut retries = 0.0;
-    if v2 {
-        for key in ["retries", "turnaways"] {
-            let value = num(key);
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{path}: field {key:?} is {value}"
-            );
-        }
-        retries = num("retries");
-    }
-    println!(
-        "service schema: {path} parses as bench_service/v{} \
-         ({rps:.0} req/s, p50 {p50:.2} ms, p99 {p99:.2} ms, hit rate {hit_rate:.2}, \
-         {retries} retries, 0 × 5xx)",
-        if v2 { 2 } else { 1 }
-    );
+    names
+        .iter()
+        .map(|name| Protocol::from_name(name, n / 2).expect("registered protocol"))
+        .collect()
 }
 
-/// Validates a `BENCH_awake.json` against the `bench_awake/v1` schema:
-/// schema tag, top-level fields, at least one row, every row carrying
-/// every column with a parseable finite value, a recorded passing
-/// `lowawake_win`, and — re-derived from the rows themselves — the pin
-/// that `ghs_lowawake` beats `ghs_modified` on max-per-node awake rounds
-/// at the largest measured size. Panics (non-zero exit) on any mismatch.
-fn validate_awake_schema(path: &str) {
+/// `--check PATH`: parse the document, check its schema's invariants.
+fn check(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    assert!(
-        text.contains("\"schema\": \"bench_awake/v1\""),
-        "{path}: missing or wrong schema tag (want bench_awake/v1)"
-    );
-    for key in ["seed", "trials", "lowawake_win"] {
-        assert!(
-            text.contains(&format!("\"{key}\": ")),
-            "{path}: missing top-level field {key:?}"
-        );
-    }
-    assert!(
-        text.contains("\"pass\": true"),
-        "{path}: lowawake_win did not pass when the sweep ran"
-    );
-    let rows_at = text
-        .find("\"rows\": [")
-        .unwrap_or_else(|| panic!("{path}: missing rows array"));
-    let mut rows = 0usize;
-    // (n, protocol, awake_max) triples for the re-derived pin.
-    let mut maxima: Vec<(u64, String, f64)> = Vec::new();
-    for line in text[rows_at..].lines().skip(1) {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            break;
-        }
-        let obj = line.trim_end_matches(',');
-        rows += 1;
-        let protocol = field(obj, "protocol").trim_matches('"').to_string();
-        let n: u64 = field(obj, "n")
-            .parse()
-            .unwrap_or_else(|e| panic!("{path}: row {rows} field \"n\": {e}"));
-        for key in ["awake_total", "awake_max", "energy", "messages", "rounds"] {
-            let value: f64 = field(obj, key)
-                .parse()
-                .unwrap_or_else(|e| panic!("{path}: row {rows} field {key:?}: {e}"));
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{path}: row {rows} field {key:?} is {value}"
-            );
-        }
-        let awake_max: f64 = field(obj, "awake_max").parse().expect("checked above");
-        maxima.push((n, protocol, awake_max));
-    }
-    assert!(rows > 0, "{path}: rows array is empty");
-    let largest = maxima.iter().map(|r| r.0).max().expect("rows > 0");
-    let at = |proto: &str| -> f64 {
-        maxima
-            .iter()
-            .find(|(n, p, _)| *n == largest && p == proto)
-            .unwrap_or_else(|| panic!("{path}: no {proto} row at n={largest}"))
-            .2
-    };
-    let (low, ghs) = (at("ghs_lowawake"), at("ghs_modified"));
-    assert!(
-        low < ghs,
-        "{path}: low-awake pin broken at n={largest}: ghs_lowawake awake_max {low} \
-         is not below ghs_modified {ghs}"
-    );
-    println!(
-        "awake schema: {path} parses as bench_awake/v1 ({rows} rows; pin at n={largest}: \
-         lowawake {low} < ghs {ghs})"
-    );
+    let schema = bench_doc::check(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    println!("check: {path} is a valid {schema}");
 }
 
 fn main() {
     let opts = Options::from_env();
-    if let Some(path) = &opts.churn_schema {
-        validate_churn_schema(path);
-        return;
-    }
-    if let Some(path) = &opts.service_schema {
-        validate_service_schema(path);
-        return;
-    }
-    if let Some(path) = &opts.awake_schema {
-        validate_awake_schema(path);
+    if let Some(path) = &opts.check {
+        check(path);
         return;
     }
     let mut sizes: Vec<usize> = if opts.quick {
@@ -373,12 +114,13 @@ fn main() {
         sizes.extend(LARGE_SIZES);
     }
     let reps = opts.trials.max(1);
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<CoreRow> = Vec::new();
     for &n in &sizes {
         let inst = Instance::generate(opts.seed, n, 0);
         let r = paper_phase2_radius(n);
         let large_only = LARGE_SIZES.contains(&n);
-        for (name, proto) in protocols(n, large_only) {
+        for proto in protocols(n, large_only) {
+            let name = proto.name();
             // Untimed warm-up: builds the instance's shared topology and
             // sorted rows, faults in the pages, and leaves the timed reps
             // measuring protocol execution alone.
@@ -398,8 +140,8 @@ fn main() {
                 best = best.min(ms);
             }
             let mean_ms = total / reps as f64;
-            rows.push(Row {
-                protocol: name,
+            rows.push(CoreRow {
+                protocol: proto,
                 n,
                 mean_ms,
                 best_ms: best,
@@ -417,7 +159,11 @@ fn main() {
     for r in &rows {
         println!(
             "{:<14} {:>7} {:>12.3} {:>12.3} {:>14.0}",
-            r.protocol, r.n, r.mean_ms, r.best_ms, r.nodes_per_s
+            r.protocol.name(),
+            r.n,
+            r.mean_ms,
+            r.best_ms,
+            r.nodes_per_s
         );
     }
 
@@ -425,8 +171,8 @@ fn main() {
     // enforced (abort on trip) only under --guard.
     let guard_row = rows
         .iter()
-        .find(|r| r.protocol == GUARD_PROTOCOL && r.n == GUARD_N);
-    let mut guard_json = String::new();
+        .find(|r| r.protocol.name() == GUARD_PROTOCOL && r.n == GUARD_N);
+    let mut guard = None;
     if let Some(g) = guard_row {
         let ratio = g.best_ms / GUARD_BASELINE_MEAN_MS;
         let pass = ratio <= GUARD_MAX_RATIO;
@@ -437,21 +183,15 @@ fn main() {
             ratio,
             if pass { "ok" } else { "REGRESSED" }
         );
-        guard_json = format!(
-            "  \"guard\": {{\"protocol\": \"{GUARD_PROTOCOL}\", \"n\": {GUARD_N}, \
-             \"baseline_mean_ms\": {GUARD_BASELINE_MEAN_MS}, \"max_ratio\": {GUARD_MAX_RATIO}, \
-             \"measured_best_ms\": {:.3}, \"ratio\": {:.3}, \"pass\": {pass}}},\n",
-            g.best_ms, ratio
-        );
-        if opts.guard {
-            assert!(
-                pass,
-                "wall-time guard tripped: {GUARD_PROTOCOL} n={GUARD_N} best {:.3} ms is \
-                 {:.2}x the pinned baseline ({GUARD_BASELINE_MEAN_MS} ms mean, limit \
-                 {GUARD_MAX_RATIO}x)",
-                g.best_ms, ratio
-            );
-        }
+        guard = Some(WallGuard {
+            protocol: g.protocol,
+            n: GUARD_N,
+            baseline_mean_ms: GUARD_BASELINE_MEAN_MS,
+            max_ratio: GUARD_MAX_RATIO,
+            measured_best_ms: g.best_ms,
+            ratio,
+            pass,
+        });
     } else if opts.guard {
         panic!("--guard set but the {GUARD_PROTOCOL} n={GUARD_N} row was not measured");
     }
@@ -459,10 +199,10 @@ fn main() {
     // Throughput-flatness guard: the scale curve must not bend. Baseline
     // is the FLAT_BASELINE_N row (smallest measured n if the sweep
     // skipped it), target is the largest measured n.
-    let mut flat_json = String::new();
-    let mut ghs_rows: Vec<&Row> = rows
+    let mut flatness = None;
+    let mut ghs_rows: Vec<&CoreRow> = rows
         .iter()
-        .filter(|r| r.protocol == GUARD_PROTOCOL)
+        .filter(|r| r.protocol.name() == GUARD_PROTOCOL)
         .collect();
     ghs_rows.sort_by_key(|r| r.n);
     if ghs_rows.len() >= 2 {
@@ -483,46 +223,29 @@ fn main() {
             ratio,
             if pass { "ok" } else { "REGRESSED" }
         );
-        flat_json = format!(
-            "  \"flatness\": {{\"protocol\": \"{GUARD_PROTOCOL}\", \"base_n\": {}, \
-             \"target_n\": {}, \"min_ratio\": {FLAT_MIN_RATIO}, \"ratio\": {:.3}, \
-             \"pass\": {pass}}},\n",
-            base.n, target.n, ratio
-        );
-        if opts.guard {
-            assert!(
-                pass,
-                "throughput-flatness guard tripped: {GUARD_PROTOCOL} msgs/s at n={} is \
-                 {:.2}x its n={} value (min {FLAT_MIN_RATIO}x) — the scale curve bent",
-                target.n, ratio, base.n
-            );
-        }
+        flatness = Some(FlatGuard {
+            protocol: target.protocol,
+            base_n: base.n,
+            target_n: target.n,
+            min_ratio: FLAT_MIN_RATIO,
+            ratio,
+            pass,
+        });
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"bench_core/v1\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"reps\": {},\n", reps));
-    json.push_str(&guard_json);
-    json.push_str(&flat_json);
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"mean_ms\": {:.3}, \
-             \"best_ms\": {:.3}, \"nodes_per_s\": {:.0}, \"messages\": {}, \
-             \"best_msgs_per_s\": {:.0}}}{}\n",
-            r.protocol,
-            r.n,
-            r.mean_ms,
-            r.best_ms,
-            r.nodes_per_s,
-            r.messages,
-            r.best_msgs_per_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    let doc = CoreDoc {
+        seed: opts.seed,
+        reps,
+        guard,
+        flatness,
+        rows,
+    };
+    // Under --guard both recorded guards must have passed; the document
+    // owns that invariant (`bench_summary --check` applies it to the file).
+    if opts.guard {
+        doc.check().unwrap_or_else(|e| panic!("{e}"));
     }
-    json.push_str("  ]\n}\n");
     let path = "BENCH_core.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_core.json");
+    std::fs::write(path, doc.render()).expect("cannot write BENCH_core.json");
     eprintln!("wrote {path}");
 }

@@ -24,10 +24,11 @@
 //! conservation, forest validity, strategy/Kruskal agreement, bitwise
 //! determinism) and the sweep **aborts** on any violation — the sweep
 //! doubles as the CI churn smoke. Results land in `BENCH_churn.json`
-//! (`bench_churn/v1`, validated by `bench_summary --churn-schema`).
+//! (`bench_churn/v1`, validated by `bench_summary --check`).
 //!
 //! Run: `cargo run --release -p emst-bench --bin churn_sweep [-- --trials N --quick --csv]`
 
+use emst_analysis::bench_doc::{ChurnDoc, ChurnRow};
 use emst_analysis::{fnum, Table};
 use emst_bench::{churn_violations, instance, rate_timeline, Options};
 use emst_core::{maintain, MaintainReport, MaintainStrategy};
@@ -35,21 +36,10 @@ use emst_geom::{mix_seed, paper_phase2_radius};
 
 const EPOCHS: usize = 6;
 
-/// Per-`(n, rate, strategy)` aggregates over the trial fan-out.
-#[derive(Default)]
-struct Row {
-    bootstrap_energy: f64,
-    energy: f64,
-    messages: f64,
-    rounds: f64,
-    energy_per_round: f64,
-    edges_added: f64,
-    edges_removed: f64,
-}
-
-fn accumulate(row: &mut Row, rep: &MaintainReport, trials: f64) {
+/// Adds one trial's report to a row of per-trial means.
+fn accumulate(row: &mut ChurnRow, rep: &MaintainReport, trials: f64) {
     row.bootstrap_energy += rep.bootstrap_energy / trials;
-    row.energy += rep.maintenance_energy() / trials;
+    row.maintenance_energy += rep.maintenance_energy() / trials;
     row.messages += rep.maintenance_messages() as f64 / trials;
     row.rounds += rep.maintenance_rounds() as f64 / trials;
     row.energy_per_round += rep.energy_per_maintained_round() / trials;
@@ -74,8 +64,7 @@ fn main() {
         opts.trials, opts.seed
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut wins: Vec<(usize, f64, f64, f64)> = Vec::new();
+    let mut doc_rows: Vec<ChurnRow> = Vec::new();
     let mut violation_count = 0usize;
     for &n in &sizes {
         let radius = paper_phase2_radius(n);
@@ -92,8 +81,15 @@ fn main() {
         ]);
         for &rate in &rates {
             let trials = opts.trials as f64;
-            let mut inc_row = Row::default();
-            let mut rec_row = Row::default();
+            let blank = |strategy| ChurnRow {
+                n,
+                rate,
+                strategy,
+                epochs: EPOCHS,
+                ..ChurnRow::default()
+            };
+            let mut inc_row = blank(MaintainStrategy::Incremental);
+            let mut rec_row = blank(MaintainStrategy::Recompute);
             for t in 0..opts.trials as u64 {
                 let pts = instance(opts.seed, n, t);
                 let tl = rate_timeline(mix_seed(opts.seed, n as u64), t, n, EPOCHS, rate);
@@ -116,16 +112,12 @@ fn main() {
                     trials,
                 );
             }
-            let ratio = inc_row.energy / rec_row.energy;
-            wins.push((n, rate, inc_row.energy, rec_row.energy));
-            for (name, row, ratio_cell) in [
-                ("incremental", &inc_row, fnum(ratio, 3)),
-                ("recompute", &rec_row, "-".into()),
-            ] {
+            let ratio = inc_row.maintenance_energy / rec_row.maintenance_energy;
+            for (row, ratio_cell) in [(inc_row, fnum(ratio, 3)), (rec_row, "-".into())] {
                 table.row([
                     fnum(rate, 2),
-                    name.into(),
-                    fnum(row.energy, 3),
+                    row.strategy.name().into(),
+                    fnum(row.maintenance_energy, 3),
                     fnum(row.energy_per_round, 4),
                     fnum(row.messages, 0),
                     fnum(row.rounds, 1),
@@ -133,20 +125,7 @@ fn main() {
                     fnum(row.edges_removed, 1),
                     ratio_cell,
                 ]);
-                json_rows.push(format!(
-                    "    {{\"n\": {n}, \"rate\": {rate}, \"strategy\": \"{name}\", \
-                     \"epochs\": {EPOCHS}, \"bootstrap_energy\": {:.4}, \
-                     \"maintenance_energy\": {:.4}, \"energy_per_round\": {:.5}, \
-                     \"messages\": {:.1}, \"rounds\": {:.1}, \"edges_added\": {:.1}, \
-                     \"edges_removed\": {:.1}, \"violations\": 0}}",
-                    row.bootstrap_energy,
-                    row.energy,
-                    row.energy_per_round,
-                    row.messages,
-                    row.rounds,
-                    row.edges_added,
-                    row.edges_removed,
-                ));
+                doc_rows.push(row);
             }
         }
         println!("-- maintenance cost under churn (n = {n}, {EPOCHS} epochs) --");
@@ -157,40 +136,19 @@ fn main() {
     }
 
     // The point of incremental maintenance: at scale it must beat
-    // per-epoch recomputation on energy. Enforced at the largest
-    // measured size (n = 2000 in a full run).
-    let largest = *sizes.iter().max().expect("sizes is non-empty");
-    let win = wins
-        .iter()
-        .any(|&(n, _, inc, rec)| n == largest && inc < rec);
-    for &(n, rate, inc, rec) in &wins {
-        eprintln!(
-            "win check: n={n} rate={rate}: incremental {inc:.3} vs recompute {rec:.3} -> {}",
-            if inc < rec {
-                "incremental wins"
-            } else {
-                "recompute wins"
-            }
-        );
-    }
-    assert!(
-        win,
-        "incremental maintenance never beat recomputation at n={largest}"
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"bench_churn/v1\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"trials\": {},\n", opts.trials));
-    json.push_str(&format!("  \"epochs\": {EPOCHS},\n"));
-    json.push_str(&format!("  \"violations\": {violation_count},\n"));
-    json.push_str(&format!(
-        "  \"incremental_win\": {{\"n\": {largest}, \"pass\": {win}}},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
+    // per-epoch recomputation on energy (at the largest measured size,
+    // n = 2000 in a full run; the `inc/rec` column shows every point).
+    // The document owns that claim and the zero-violation invariant.
+    let doc = ChurnDoc {
+        seed: opts.seed,
+        trials: opts.trials,
+        epochs: EPOCHS,
+        violations: violation_count as u64,
+        incremental_win: ChurnDoc::incremental_win_of(&doc_rows),
+        rows: doc_rows,
+    };
+    doc.check().unwrap_or_else(|e| panic!("{e}"));
     let path = "BENCH_churn.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_churn.json");
+    std::fs::write(path, doc.render()).expect("cannot write BENCH_churn.json");
     eprintln!("wrote {path}");
 }

@@ -30,37 +30,18 @@
 //!
 //! Run: `cargo run --release -p emst-bench --bin fault_sweep [-- --trials N --quick --csv]`
 
+use emst_analysis::bench_doc::{FaultsDoc, FaultsRow};
 use emst_analysis::{fnum, Table};
 use emst_bench::{repair_trial, run_trials, Options, RepairTrial};
-use emst_core::{EoptConfig, GhsVariant, Protocol, RankScheme};
+use emst_core::Protocol;
 use std::collections::BTreeMap;
 
-fn protocols() -> Vec<(&'static str, Protocol)> {
-    vec![
-        ("ghs_modified", Protocol::Ghs(GhsVariant::Modified)),
-        ("eopt", Protocol::Eopt(EoptConfig::default())),
-        ("co_nnt", Protocol::Nnt(RankScheme::Diagonal)),
-    ]
-}
-
-/// Per-`(protocol, n, p)` aggregates over the trial fan-out.
-struct Row {
-    completed: f64,
-    repaired: f64,
-    weight_ratio: f64,
-    energy: f64,
-    repaired_energy: f64,
-    drops: f64,
-    retries: f64,
-    timeouts: f64,
-    attempts: f64,
-    /// Modal degraded-stage label, as `"scope/name (count/degraded)"`.
-    degraded_stage: Option<(String, usize, usize)>,
-}
-
-fn aggregate(trials: &[RepairTrial]) -> Row {
-    let n = trials.len() as f64;
-    let mean = |f: &dyn Fn(&RepairTrial) -> f64| trials.iter().map(f).sum::<f64>() / n;
+/// Means of one `(protocol, n, p)` point over the trial fan-out, and the
+/// table's degraded-stage cell. `energy_x` is left at 1 for the caller,
+/// which knows the protocol's `p = 0` energy.
+fn aggregate(protocol: Protocol, n: usize, p: f64, trials: &[RepairTrial]) -> (FaultsRow, String) {
+    let count = trials.len() as f64;
+    let mean = |f: &dyn Fn(&RepairTrial) -> f64| trials.iter().map(f).sum::<f64>() / count;
     let mut stages: BTreeMap<&str, usize> = BTreeMap::new();
     for t in trials {
         if let Some(stage) = &t.degraded_stage {
@@ -70,22 +51,27 @@ fn aggregate(trials: &[RepairTrial]) -> Row {
     let degraded: usize = stages.values().sum();
     // Modal label; BTreeMap iteration makes the tie-break lexicographic
     // and therefore deterministic.
-    let degraded_stage = stages
-        .iter()
-        .max_by_key(|&(_, &count)| count)
-        .map(|(stage, &count)| (stage.to_string(), count, degraded));
-    Row {
+    let modal = stages.iter().max_by_key(|&(_, &count)| count);
+    let cell = modal.map_or("-".into(), |(stage, count)| {
+        format!("{stage} ({count}/{degraded})")
+    });
+    let row = FaultsRow {
+        protocol,
+        n,
+        p,
         completed: mean(&|t| f64::from(u8::from(t.base.completed))),
         repaired: mean(&|t| f64::from(u8::from(t.repaired_completed))),
         weight_ratio: mean(&|t| t.base.weight / t.base.mst_weight),
         energy: mean(&|t| t.base.energy),
+        energy_x: 1.0,
         repaired_energy: mean(&|t| t.repaired_energy),
+        repair_attempts: mean(&|t| f64::from(t.repair_attempts)),
         drops: mean(&|t| t.base.drops as f64),
         retries: mean(&|t| t.base.retries as f64),
         timeouts: mean(&|t| t.base.timeouts as f64),
-        attempts: mean(&|t| f64::from(t.repair_attempts)),
-        degraded_stage,
-    }
+        degraded_stage: modal.map(|(stage, _)| stage.to_string()),
+    };
+    (row, cell)
 }
 
 fn main() {
@@ -101,18 +87,10 @@ fn main() {
         opts.trials, opts.seed
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
-    for (name, proto) in protocols() {
+    let mut doc_rows: Vec<FaultsRow> = Vec::new();
+    for name in ["ghs_modified", "eopt", "co_nnt"] {
+        let proto = Protocol::from_name(name, 0).expect("registered protocol");
         for &n in &sizes {
-            let rows: Vec<(f64, Row)> = ps
-                .iter()
-                .map(|&p| {
-                    let trials = run_trials(&opts, |t| repair_trial(opts.seed, n, p, proto, t));
-                    (p, aggregate(&trials))
-                })
-                .collect();
-            // The p = 0.0 row is the protocol's own fault-free baseline.
-            let base_energy = rows[0].1.energy;
             let mut table = Table::new([
                 "drop p",
                 "completed",
@@ -125,44 +103,26 @@ fn main() {
                 "timeouts",
                 "degraded stage",
             ]);
-            for (p, row) in &rows {
-                let stage_cell = match &row.degraded_stage {
-                    Some((stage, count, total)) => format!("{stage} ({count}/{total})"),
-                    None => "-".into(),
-                };
+            // The p = 0.0 row is the protocol's own fault-free baseline.
+            let mut base_energy = None;
+            for &p in &ps {
+                let trials = run_trials(&opts, |t| repair_trial(opts.seed, n, p, proto, t));
+                let (mut row, stage_cell) = aggregate(proto, n, p, &trials);
+                let base = *base_energy.get_or_insert(row.energy);
+                row.energy_x = row.energy / base;
                 table.row([
-                    fnum(*p, 2),
+                    fnum(p, 2),
                     fnum(row.completed, 2),
                     fnum(row.repaired, 2),
                     fnum(row.weight_ratio, 3),
-                    fnum(row.energy / base_energy, 2),
-                    fnum(row.repaired_energy / base_energy, 2),
+                    fnum(row.energy_x, 2),
+                    fnum(row.repaired_energy / base, 2),
                     fnum(row.drops, 1),
                     fnum(row.retries, 1),
                     fnum(row.timeouts, 1),
-                    stage_cell.clone(),
+                    stage_cell,
                 ]);
-                let stage_json = match &row.degraded_stage {
-                    Some((stage, _, _)) => format!("\"{stage}\""),
-                    None => "null".into(),
-                };
-                json_rows.push(format!(
-                    "    {{\"protocol\": \"{name}\", \"n\": {n}, \"p\": {p}, \
-                     \"completed\": {:.3}, \"repaired\": {:.3}, \"weight_ratio\": {:.4}, \
-                     \"energy\": {:.3}, \"energy_x\": {:.3}, \"repaired_energy\": {:.3}, \
-                     \"repair_attempts\": {:.2}, \"drops\": {:.1}, \"retries\": {:.1}, \
-                     \"timeouts\": {:.1}, \"degraded_stage\": {stage_json}}}",
-                    row.completed,
-                    row.repaired,
-                    row.weight_ratio,
-                    row.energy,
-                    row.energy / base_energy,
-                    row.repaired_energy,
-                    row.attempts,
-                    row.drops,
-                    row.retries,
-                    row.timeouts,
-                ));
+                doc_rows.push(row);
             }
             println!("-- {name} under link faults (n = {n}) --");
             println!("{}", table.render());
@@ -172,14 +132,12 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"fault_sweep/v2\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"trials\": {},\n", opts.trials));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
+    let doc = FaultsDoc {
+        seed: opts.seed,
+        trials: opts.trials,
+        rows: doc_rows,
+    };
     let path = "BENCH_faults.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_faults.json");
+    std::fs::write(path, doc.render()).expect("cannot write BENCH_faults.json");
     eprintln!("wrote {path}");
 }

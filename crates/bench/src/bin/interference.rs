@@ -19,21 +19,16 @@ use emst_radio::ContentionConfig;
 
 /// `(energy ratio, message ratio, round ratio, trees equal)` for one
 /// protocol run with/without contention.
-fn inflation(seed: u64, n: usize, trial: u64, which: &str, p_attempt: f64) -> [f64; 4] {
+fn inflation(seed: u64, n: usize, trial: u64, protocol: Protocol, p_attempt: f64) -> [f64; 4] {
     let pts = instance(seed, n, trial);
     let mac = ContentionConfig {
         attempt_probability: p_attempt,
         seed: seed ^ trial,
         ..ContentionConfig::default()
     };
-    let protocol = match which {
-        "nnt" => Protocol::Nnt(RankScheme::Diagonal),
-        "bfs" => Protocol::Bfs { root: 0 },
-        _ => unreachable!(),
-    };
     let sim = |contended: bool| -> Result<RunOutput, RunError> {
         let mut sim = Sim::new(&pts);
-        if let Protocol::Bfs { .. } = protocol {
+        if protocol.needs_radius() {
             sim = sim.radius(paper_phase2_radius(n));
         }
         if contended {
@@ -49,7 +44,10 @@ fn inflation(seed: u64, n: usize, trial: u64, which: &str, p_attempt: f64) -> [f
     let noisy = match sim(true) {
         Ok(out) => out,
         Err(err) => {
-            eprintln!("interference: contended {which} trial {trial} (n={n}) aborted: {err}");
+            eprintln!(
+                "interference: contended {} trial {trial} (n={n}) aborted: {err}",
+                protocol.name()
+            );
             return [f64::NAN, f64::NAN, f64::NAN, 0.0];
         }
     };
@@ -85,9 +83,10 @@ fn run() -> Result<(), ReportError> {
         opts.trials, opts.seed
     );
 
-    for which in ["nnt", "bfs"] {
+    let nnt = Protocol::Nnt(RankScheme::Diagonal);
+    for protocol in [nnt, Protocol::Bfs { root: 0 }] {
         let rows = run_sweep_multi(&opts, &sizes, |&n, t| {
-            inflation(opts.seed, n, t, which, 0.25)
+            inflation(opts.seed, n, t, protocol, 0.25)
         });
         let mut table = Table::new(["n", "energy x", "messages x", "rounds x", "tree preserved"]);
         for (n, [e, m, r, same]) in &rows {
@@ -99,7 +98,7 @@ fn run() -> Result<(), ReportError> {
                 fnum(same.mean, 2),
             ]);
         }
-        println!("-- {} under contention (p = 0.25) --", which.to_uppercase());
+        println!("-- {} under contention (p = 0.25) --", protocol.name());
         println!("{}", table.render());
         if opts.csv {
             println!("{}", table.to_csv());
@@ -117,7 +116,7 @@ fn run() -> Result<(), ReportError> {
     let n = if opts.quick { 200 } else { 500 };
     let ps = [0.05, 0.1, 0.25, 0.5];
     let rows = run_sweep_multi(&opts, &ps, |&p, t| {
-        inflation(opts.seed ^ 0x77, n, t, "nnt", p)
+        inflation(opts.seed ^ 0x77, n, t, nnt, p)
     });
     let mut table = Table::new(["attempt p", "energy x", "rounds x"]);
     for (p, [e, _, r, _]) in &rows {

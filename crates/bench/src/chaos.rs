@@ -28,8 +28,8 @@ use emst_core::{
     maintain, ChurnTimeline, GhsVariant, MaintainStrategy, Protocol, RepairPolicy, RunOutcome, Sim,
 };
 use emst_geom::{mix_seed, paper_phase2_radius, trial_rng, Point};
-use emst_graph::{kruskal_forest, Edge, Graph, SpanningTree};
-use emst_radio::{FaultPlan, Membership, MetricsSink};
+use emst_graph::disk_msf;
+use emst_radio::{FaultPlan, MetricsSink};
 use rand::Rng;
 
 /// Generates the `index`-th random fault plan of a chaos run: a drop
@@ -299,9 +299,9 @@ pub fn run_chaos(seed: u64, plans: u64, n: usize) -> ChaosReport {
     for index in 0..plans {
         let pts = instance(seed, n, index);
         let plan = random_plan(seed, index, n);
-        for (name, protocol) in [
-            ("ghs_modified", Protocol::Ghs(GhsVariant::Modified)),
-            ("eopt", Protocol::Eopt(Default::default())),
+        for protocol in [
+            Protocol::Ghs(GhsVariant::Modified),
+            Protocol::Eopt(Default::default()),
         ] {
             let messages = violations(&pts, protocol, &plan);
             if !messages.is_empty() {
@@ -309,7 +309,7 @@ pub fn run_chaos(seed: u64, plans: u64, n: usize) -> ChaosReport {
                 let minimized = shrink(&plan, &fails);
                 report.violations.push(ChaosViolation {
                     index,
-                    protocol: name,
+                    protocol: protocol.name(),
                     messages,
                     plan: plan.clone(),
                     minimized,
@@ -413,28 +413,6 @@ pub fn rate_timeline(seed: u64, index: u64, n: usize, epochs: usize, rate: f64) 
     tl
 }
 
-/// MSF of the live unit-disk subgraph by Kruskal — the ground truth any
-/// maintained forest must match edge-for-edge.
-fn live_msf(points: &[Point], radius: f64, members: &Membership) -> SpanningTree {
-    let n = points.len();
-    let mut edges = Vec::new();
-    for u in 0..n {
-        if !members.is_live(u) {
-            continue;
-        }
-        for v in (u + 1)..n {
-            if !members.is_live(v) {
-                continue;
-            }
-            let d = points[u].dist(&points[v]);
-            if d <= radius {
-                edges.push(Edge::new(u, v, d));
-            }
-        }
-    }
-    SpanningTree::new(n, kruskal_forest(&Graph::from_edges(n, edges)))
-}
-
 /// Runs the churn maintenance loop on `pts` under `timeline` with both
 /// strategies and returns every violated epoch invariant:
 ///
@@ -482,7 +460,7 @@ pub fn churn_violations(pts: &[Point], radius: f64, timeline: &ChurnTimeline) ->
         inc.tree().same_edges(&rec.tree()),
         "incremental and recompute forests disagree"
     );
-    let truth = live_msf(&inc.points, radius, &inc.members);
+    let truth = disk_msf(&inc.points, radius, |u| inc.members.is_live(u));
     check!(
         inc.tree().same_edges(&truth),
         "maintained forest is not the MSF of the live subgraph"

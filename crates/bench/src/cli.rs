@@ -14,18 +14,10 @@
 //!   if either trips;
 //! * `--large`     — (bench_summary / large_smoke) extend the sweep to
 //!   the large-n sizes (20 000 and 100 000 for the scalable protocols);
-//! * `--churn-schema PATH` — (bench_summary only) validate that the
-//!   `BENCH_churn.json` at PATH parses under the `bench_churn/v1`
-//!   schema and exit (the CI guard that `churn_sweep` output stays
-//!   consumable);
-//! * `--service-schema PATH` — (bench_summary only) validate that the
-//!   `BENCH_service.json` at PATH parses under the `bench_service/v1`
-//!   schema and exit (the CI guard that `load_gen` output stays
-//!   consumable);
-//! * `--awake-schema PATH` — (bench_summary only) validate that the
-//!   `BENCH_awake.json` at PATH parses under the `bench_awake/v1`
-//!   schema — including the pinned low-awake-beats-GHS guard at the
-//!   largest measured size — and exit.
+//! * `--check PATH` — (bench_summary only) parse the BENCH document at
+//!   PATH under the schema its tag names, check that schema's
+//!   invariants and exit (the CI guard that every writer's output stays
+//!   consumable).
 
 use crate::BASE_SEED;
 
@@ -49,12 +41,8 @@ pub struct Options {
     pub guard: bool,
     /// Extend the sweep to the large-n sizes (bench_summary/large_smoke).
     pub large: bool,
-    /// Validate a `BENCH_churn.json` file and exit (bench_summary).
-    pub churn_schema: Option<String>,
-    /// Validate a `BENCH_service.json` file and exit (bench_summary).
-    pub service_schema: Option<String>,
-    /// Validate a `BENCH_awake.json` file and exit (bench_summary).
-    pub awake_schema: Option<String>,
+    /// Check a BENCH document and exit (bench_summary).
+    pub check: Option<String>,
 }
 
 impl Default for Options {
@@ -68,9 +56,7 @@ impl Default for Options {
             threads: None,
             guard: false,
             large: false,
-            churn_schema: None,
-            service_schema: None,
-            awake_schema: None,
+            check: None,
         }
     }
 }
@@ -111,22 +97,13 @@ impl Options {
                     assert!(t > 0, "--threads must be positive");
                     opts.threads = Some(t);
                 }
-                "--churn-schema" => {
-                    let v = it.next().expect("--churn-schema needs a path");
-                    opts.churn_schema = Some(v);
-                }
-                "--service-schema" => {
-                    let v = it.next().expect("--service-schema needs a path");
-                    opts.service_schema = Some(v);
-                }
-                "--awake-schema" => {
-                    let v = it.next().expect("--awake-schema needs a path");
-                    opts.awake_schema = Some(v);
+                "--check" => {
+                    let v = it.next().expect("--check needs a path");
+                    opts.check = Some(v);
                 }
                 other => panic!(
                     "unknown option {other}; supported: --trials N --quick --csv --svg DIR \
-                     --seed S --threads T --guard --large --churn-schema PATH \
-                     --service-schema PATH --awake-schema PATH"
+                     --seed S --threads T --guard --large --check PATH"
                 ),
             }
         }
@@ -190,26 +167,9 @@ mod tests {
         assert!(!parse(&[]).guard);
         assert!(!parse(&[]).large);
         assert_eq!(
-            parse(&["--churn-schema", "BENCH_churn.json"])
-                .churn_schema
-                .as_deref(),
+            parse(&["--check", "BENCH_churn.json"]).check.as_deref(),
             Some("BENCH_churn.json")
         );
-        assert_eq!(parse(&[]).churn_schema, None);
-        assert_eq!(
-            parse(&["--service-schema", "BENCH_service.json"])
-                .service_schema
-                .as_deref(),
-            Some("BENCH_service.json")
-        );
-        assert_eq!(parse(&[]).service_schema, None);
-        assert_eq!(
-            parse(&["--awake-schema", "BENCH_awake.json"])
-                .awake_schema
-                .as_deref(),
-            Some("BENCH_awake.json")
-        );
-        assert_eq!(parse(&[]).awake_schema, None);
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub use report::{
 };
 pub use runner::*;
 
-/// Base seed for all experiments.
-pub const BASE_SEED: u64 = 0xE0E7_2008;
+pub use emst_geom::BASE_SEED;
 
 /// Writes an SVG next to the experiment's other outputs when `--svg DIR`
 /// was given; creates the directory as needed.

@@ -48,15 +48,18 @@ pub struct EoptConfig {
 
 impl Default for EoptConfig {
     fn default() -> Self {
-        EoptConfig {
-            phase1_multiplier: emst_geom::PAPER_PHASE1_MULTIPLIER,
-            phase2_multiplier: emst_geom::PAPER_PHASE2_MULTIPLIER,
-            beta: 1.0,
-        }
+        EoptConfig::PAPER
     }
 }
 
 impl EoptConfig {
+    /// The §VII parameters (also the `Default`).
+    pub const PAPER: EoptConfig = EoptConfig {
+        phase1_multiplier: emst_geom::PAPER_PHASE1_MULTIPLIER,
+        phase2_multiplier: emst_geom::PAPER_PHASE2_MULTIPLIER,
+        beta: 1.0,
+    };
+
     /// Step-1 radius for `n` nodes.
     pub fn radius1(&self, n: usize) -> f64 {
         paper_phase1_radius(n) * (self.phase1_multiplier / emst_geom::PAPER_PHASE1_MULTIPLIER)

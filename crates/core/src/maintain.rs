@@ -190,15 +190,34 @@ impl ChurnTimeline {
 }
 
 /// How [`maintain`] reacts to an epoch's membership changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintainStrategy {
     /// Localized repair: zero-cost cache restore + seeded reconnection
-    /// for departures, per-arrival hello/connect traffic for joins.
+    /// for departures, per-arrival hello/connect traffic for joins. The
+    /// default.
+    #[default]
     Incremental,
     /// From-scratch restricted GHS over the live set every epoch with
     /// events — the baseline incremental maintenance is measured
     /// against.
     Recompute,
+}
+
+impl MaintainStrategy {
+    /// The strategy's name on the wire and in BENCH documents.
+    pub const fn name(self) -> &'static str {
+        match self {
+            MaintainStrategy::Incremental => "incremental",
+            MaintainStrategy::Recompute => "recompute",
+        }
+    }
+
+    /// Looks a strategy up by [`MaintainStrategy::name`].
+    pub fn from_name(name: &str) -> Option<MaintainStrategy> {
+        [MaintainStrategy::Incremental, MaintainStrategy::Recompute]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
 }
 
 /// Per-epoch read-out of one maintenance step.
@@ -759,30 +778,7 @@ mod tests {
     use super::*;
     use crate::{Protocol, Sim};
     use emst_geom::{paper_phase2_radius, trial_rng, uniform_points};
-    use emst_graph::{kruskal_forest, Graph};
-
-    /// MSF of the live unit-disk subgraph, computed by Kruskal — the
-    /// ground truth every maintained forest must match edge-for-edge.
-    fn live_kruskal(points: &[Point], radius: f64, members: &Membership) -> SpanningTree {
-        let n = points.len();
-        let mut edges = Vec::new();
-        for u in 0..n {
-            if !members.is_live(u) {
-                continue;
-            }
-            for v in (u + 1)..n {
-                if !members.is_live(v) {
-                    continue;
-                }
-                let d = points[u].dist(&points[v]);
-                if d <= radius {
-                    edges.push(Edge::new(u, v, d));
-                }
-            }
-        }
-        let g = Graph::from_edges(n, edges);
-        SpanningTree::new(n, kruskal_forest(&g))
-    }
+    use emst_graph::disk_msf;
 
     #[test]
     fn noop_timeline_is_exactly_the_bootstrap_run() {
@@ -824,7 +820,7 @@ mod tests {
         assert_eq!(inc.members, rec.members);
         assert_eq!(inc.points, rec.points);
         assert!(inc.tree().same_edges(&rec.tree()), "strategies disagree");
-        let truth = live_kruskal(&inc.points, r, &inc.members);
+        let truth = disk_msf(&inc.points, r, |u| inc.members.is_live(u));
         assert!(inc.tree().same_edges(&truth), "incremental is not the MSF");
         for rep in [&inc, &rec] {
             for e in &rep.epochs {
@@ -843,7 +839,7 @@ mod tests {
         let r = paper_phase2_radius(100);
         let tl = ChurnTimeline::new(1).crash(0, 50);
         let inc = maintain(&pts, r, &tl, MaintainStrategy::Incremental);
-        let truth = live_kruskal(&inc.points, r, &inc.members);
+        let truth = disk_msf(&inc.points, r, |u| inc.members.is_live(u));
         assert!(inc.tree().same_edges(&truth));
         let rec = maintain(&pts, r, &tl, MaintainStrategy::Recompute);
         assert!(

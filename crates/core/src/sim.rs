@@ -101,10 +101,10 @@ impl From<EngineError> for RunError {
 /// down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A radius-bound protocol (GHS, BFS, the elections) ran without
-    /// [`Sim::radius`].
+    /// A radius-bound protocol ([`Protocol::needs_radius`]: GHS, BFS, the
+    /// elections) ran without [`Sim::radius`].
     MissingRadius {
-        /// The protocol variant that needed the radius.
+        /// The registry name of the protocol that needed the radius.
         protocol: &'static str,
     },
     /// [`Protocol::Bfs`]'s root is outside the point set.
@@ -200,6 +200,70 @@ pub enum Protocol {
     /// flood, convergecast the maximum id, broadcast the winner back down
     /// (`3n − 2` messages).
     ElectionTree,
+}
+
+impl Protocol {
+    /// One protocol per registry name, in [`Protocol::NAMES`] order: BFS
+    /// rooted at node 0, EOPT at the paper's §VII defaults.
+    const REGISTRY: [Protocol; 10] = [
+        Protocol::Ghs(GhsVariant::Original),
+        Protocol::Ghs(GhsVariant::Modified),
+        Protocol::Ghs(GhsVariant::LowAwake),
+        Protocol::Eopt(EoptConfig::PAPER),
+        Protocol::Nnt(RankScheme::Diagonal),
+        Protocol::Nnt(RankScheme::XOrder),
+        Protocol::Nnt(RankScheme::NodeId),
+        Protocol::Bfs { root: 0 },
+        Protocol::ElectionFlood,
+        Protocol::ElectionTree,
+    ];
+
+    /// Every registry name, in canonical order — the spellings the trial
+    /// service accepts and every BENCH document records.
+    pub const NAMES: [&'static str; 10] = {
+        let mut names = [""; 10];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = Protocol::REGISTRY[i].name();
+            i += 1;
+        }
+        names
+    };
+
+    /// The protocol's registry name (EOPT's configuration and BFS's root
+    /// are parameters, not part of the name).
+    pub const fn name(&self) -> &'static str {
+        match self {
+            Protocol::Ghs(GhsVariant::Original) => "ghs_original",
+            Protocol::Ghs(GhsVariant::Modified) => "ghs_modified",
+            Protocol::Ghs(GhsVariant::LowAwake) => "ghs_lowawake",
+            Protocol::Eopt(_) => "eopt",
+            Protocol::Nnt(RankScheme::Diagonal) => "co_nnt",
+            Protocol::Nnt(RankScheme::XOrder) => "nnt_xorder",
+            Protocol::Nnt(RankScheme::NodeId) => "nnt_id",
+            Protocol::Bfs { .. } => "bfs",
+            Protocol::ElectionFlood => "election_flood",
+            Protocol::ElectionTree => "election_tree",
+        }
+    }
+
+    /// Looks a protocol up by registry name; `root` is the BFS flood
+    /// origin (ignored by every other protocol). EOPT comes with the
+    /// paper's defaults.
+    pub fn from_name(name: &str, root: usize) -> Option<Protocol> {
+        let mut protocol = *Protocol::REGISTRY.iter().find(|p| p.name() == name)?;
+        if let Protocol::Bfs { root: r } = &mut protocol {
+            *r = root;
+        }
+        Some(protocol)
+    }
+
+    /// Whether the protocol runs at the radius set with [`Sim::radius`]
+    /// (GHS, BFS, the elections) rather than deriving its own (EOPT,
+    /// Co-NNT).
+    pub const fn needs_radius(&self) -> bool {
+        !matches!(self, Protocol::Eopt(_) | Protocol::Nnt(_))
+    }
 }
 
 /// Protocol-specific read-outs of a [`Sim::run`].
@@ -465,9 +529,9 @@ impl RunOutcome {
 /// Builder for a single protocol run over a fixed point set.
 ///
 /// Defaults: paper energy model (`rx = idle = 0`), no contention layer,
-/// no trace sink. `radius` is mandatory for [`Protocol::Ghs`] and
-/// [`Protocol::Bfs`] and ignored by the protocols that derive their own
-/// radii ([`Protocol::Eopt`], [`Protocol::Nnt`]).
+/// no trace sink. `radius` is mandatory for the protocols whose
+/// [`Protocol::needs_radius`] holds and ignored by the ones that derive
+/// their own radii ([`Protocol::Eopt`], [`Protocol::Nnt`]).
 pub struct Sim<'a> {
     points: &'a [Point],
     /// Shared-build source for repeated runs (see [`Sim::from_instance`]).
@@ -675,38 +739,28 @@ impl<'a> Sim<'a> {
         }
         let n = self.points.len();
         match protocol {
-            Protocol::Ghs(_) => {
-                if self.contention.is_some() {
-                    return Err(ConfigError::ContentionWithOrchestrated { protocol: "GHS" });
-                }
-                self.radius.ok_or(ConfigError::MissingRadius {
-                    protocol: "Protocol::Ghs",
-                })
+            Protocol::Ghs(_) if self.contention.is_some() => {
+                return Err(ConfigError::ContentionWithOrchestrated { protocol: "GHS" })
             }
-            Protocol::Eopt(cfg) => {
-                if self.contention.is_some() {
-                    return Err(ConfigError::ContentionWithOrchestrated { protocol: "EOPT" });
-                }
-                Ok(cfg.radius2(n.max(2)).max(cfg.radius1(n.max(2))))
+            Protocol::Eopt(_) if self.contention.is_some() => {
+                return Err(ConfigError::ContentionWithOrchestrated { protocol: "EOPT" })
             }
-            // Grid sized for the common early probe radius; larger probes
-            // still resolve correctly (they scan more cells).
-            Protocol::Nnt(_) => Ok(nnt_probe_radius(2, n.max(2))),
-            Protocol::Bfs { root } => {
-                if root >= n.max(1) {
-                    return Err(ConfigError::RootOutOfRange { root, n });
-                }
-                self.radius.ok_or(ConfigError::MissingRadius {
-                    protocol: "Protocol::Bfs",
-                })
+            Protocol::Bfs { root } if root >= n.max(1) => {
+                return Err(ConfigError::RootOutOfRange { root, n })
             }
-            Protocol::ElectionFlood => self.radius.ok_or(ConfigError::MissingRadius {
-                protocol: "Protocol::ElectionFlood",
-            }),
-            Protocol::ElectionTree => self.radius.ok_or(ConfigError::MissingRadius {
-                protocol: "Protocol::ElectionTree",
-            }),
+            _ => {}
         }
+        if protocol.needs_radius() {
+            return self.radius.ok_or(ConfigError::MissingRadius {
+                protocol: protocol.name(),
+            });
+        }
+        Ok(match protocol {
+            Protocol::Eopt(cfg) => cfg.radius2(n.max(2)).max(cfg.radius1(n.max(2))),
+            // Co-NNT: grid sized for the common early probe radius; larger
+            // probes still resolve correctly (they scan more cells).
+            _ => nnt_probe_radius(2, n.max(2)),
+        })
     }
 
     /// Executes `protocol`, classifying the result instead of panicking
@@ -1040,7 +1094,7 @@ mod tests {
         assert_eq!(
             err,
             ConfigError::MissingRadius {
-                protocol: "Protocol::Ghs"
+                protocol: "ghs_modified"
             }
         );
 
@@ -1066,6 +1120,34 @@ mod tests {
             .try_run_checked(Protocol::Bfs { root: 30 })
             .unwrap_err();
         assert_eq!(err, ConfigError::RootOutOfRange { root: 30, n: 30 });
+    }
+
+    #[test]
+    fn every_registry_name_round_trips() {
+        for name in Protocol::NAMES {
+            let protocol = Protocol::from_name(name, 0).expect("registered name");
+            assert_eq!(protocol.name(), name);
+        }
+        assert!(Protocol::from_name("kruskal", 0).is_none());
+        assert!(matches!(
+            Protocol::from_name("bfs", 7),
+            Some(Protocol::Bfs { root: 7 })
+        ));
+    }
+
+    #[test]
+    fn missing_radius_is_raised_exactly_for_radius_bound_protocols() {
+        let pts = uniform_points(30, &mut trial_rng(909, 0));
+        for name in Protocol::NAMES {
+            let protocol = Protocol::from_name(name, 0).unwrap();
+            let err = Sim::new(&pts).check(protocol).err();
+            if protocol.needs_radius() {
+                assert_eq!(err, Some(ConfigError::MissingRadius { protocol: name }));
+            } else {
+                assert_eq!(err, None, "{name}");
+            }
+            assert_eq!(Sim::new(&pts).radius(0.4).check(protocol), Ok(()), "{name}");
+        }
     }
 
     #[test]

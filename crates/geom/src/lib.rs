@@ -31,4 +31,4 @@ pub use radii::{
     connectivity_radius, nnt_probe_phases, nnt_probe_radius, paper_phase1_radius,
     paper_phase2_radius, percolation_radius, PAPER_PHASE1_MULTIPLIER, PAPER_PHASE2_MULTIPLIER,
 };
-pub use sampler::{mix_seed, poisson_count, poisson_points, trial_rng, uniform_points};
+pub use sampler::{mix_seed, poisson_count, poisson_points, trial_rng, uniform_points, BASE_SEED};

@@ -77,6 +77,11 @@ pub fn trial_rng(base: u64, trial: u64) -> StdRng {
     StdRng::seed_from_u64(mix_seed(base, trial))
 }
 
+/// The workspace-wide default experiment seed: the base every bench
+/// binary, the trial service and the load generator fall back to when no
+/// seed is given.
+pub const BASE_SEED: u64 = 0xE0E7_2008;
+
 /// SplitMix64 finaliser over `(base, trial)`; public so that experiment
 /// binaries can log the effective per-trial seed.
 pub fn mix_seed(base: u64, trial: u64) -> u64 {

@@ -27,7 +27,8 @@ pub use adjacency::{Edge, Graph};
 pub use components::{is_connected, Components};
 pub use delaunay::{delaunay_edges, euclidean_mst_delaunay};
 pub use mst::{
-    boruvka_mst, boruvka_run, euclidean_mst, kruskal_forest, kruskal_mst, prim_mst, BoruvkaRun,
+    boruvka_mst, boruvka_run, disk_msf, euclidean_mst, kruskal_forest, kruskal_mst, prim_mst,
+    BoruvkaRun,
 };
 pub use proximity::{gabriel_graph, rng_graph};
 pub use tree::{SpanningTree, TreeError};

@@ -18,7 +18,7 @@ pub use boruvka::{boruvka_mst, boruvka_run, BoruvkaRun};
 pub use kruskal::{kruskal_forest, kruskal_mst};
 pub use prim::prim_mst;
 
-use crate::adjacency::Graph;
+use crate::adjacency::{Edge, Graph};
 use crate::components::Components;
 use crate::tree::SpanningTree;
 use emst_geom::Point;
@@ -65,10 +65,27 @@ pub fn euclidean_mst(points: &[Point]) -> SpanningTree {
     }
 }
 
+/// Minimum spanning forest of the unit-disk graph at `radius` over the
+/// nodes `live` accepts, by Kruskal over all `O(n²)` live pairs — the
+/// ground truth a maintained (churned, slept, moved) forest must match
+/// edge-for-edge. Dead nodes stay in the id space as isolated vertices.
+pub fn disk_msf(points: &[Point], radius: f64, live: impl Fn(usize) -> bool) -> SpanningTree {
+    let n = points.len();
+    let mut edges = Vec::new();
+    for u in (0..n).filter(|&u| live(u)) {
+        for v in (u + 1..n).filter(|&v| live(v)) {
+            let d = points[u].dist(&points[v]);
+            if d <= radius {
+                edges.push(Edge::new(u, v, d));
+            }
+        }
+    }
+    SpanningTree::new(n, kruskal_forest(&Graph::from_edges(n, edges)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::Edge;
     use emst_geom::{trial_rng, uniform_points};
 
     /// O(n²) Prim over the complete Euclidean graph, as an oracle.

@@ -25,9 +25,11 @@
 //! connection-closing turn-away, and reports the retry total in the
 //! results document rather than failing.
 
+use emst_analysis::bench_doc::ServiceDoc;
+use emst_core::{GhsVariant, Protocol};
+use emst_geom::BASE_SEED;
 use emst_service::json::Json;
 use emst_service::{serve, Client, ServiceConfig};
-use std::io::Write;
 use std::time::Instant;
 
 struct Options {
@@ -35,7 +37,7 @@ struct Options {
     clients: usize,
     requests: usize,
     n: usize,
-    protocol: String,
+    protocol: Protocol,
     cold_ratio: f64,
     warm_keys: usize,
     min_rps: Option<f64>,
@@ -55,7 +57,7 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         clients: 8,
         requests: 50,
         n: 2000,
-        protocol: "ghs_modified".to_string(),
+        protocol: Protocol::Ghs(GhsVariant::Modified),
         cold_ratio: 0.2,
         warm_keys: 4,
         min_rps: None,
@@ -72,7 +74,11 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
             "--clients" => o.clients = value("--clients")?.parse()?,
             "--requests" => o.requests = value("--requests")?.parse()?,
             "--n" => o.n = value("--n")?.parse()?,
-            "--protocol" => o.protocol = value("--protocol")?,
+            "--protocol" => {
+                let name = value("--protocol")?;
+                o.protocol = Protocol::from_name(&name, 0)
+                    .ok_or_else(|| format!("unknown protocol {name:?}"))?;
+            }
             "--cold-ratio" => o.cold_ratio = value("--cold-ratio")?.parse()?,
             "--warm-keys" => o.warm_keys = value("--warm-keys")?.parse()?,
             "--min-rps" => o.min_rps = Some(value("--min-rps")?.parse()?),
@@ -131,7 +137,7 @@ fn backoff_ms(attempt: u32, retry_after: Option<u64>, client: usize, request: us
 
 /// Seed for the k-th warm (hot, cacheable) key.
 fn warm_seed(k: usize) -> u64 {
-    0xE0E7_2008 + k as u64
+    BASE_SEED + k as u64
 }
 
 /// Seed for the i-th cold (never repeated) key.
@@ -140,24 +146,17 @@ fn cold_seed(i: usize) -> u64 {
 }
 
 fn body_for(o: &Options, seed: u64) -> String {
-    // GHS and the tree protocols need an explicit radius; use the
-    // paper's connectivity-regime radius for the requested n. EOPT and
-    // Co-NNT derive their own.
-    let needs_radius = matches!(
-        o.protocol.as_str(),
-        "ghs_original" | "ghs_modified" | "bfs" | "election_flood" | "election_tree"
-    );
-    if needs_radius {
+    // Radius-bound protocols get the paper's connectivity-regime radius
+    // for the requested n; EOPT and Co-NNT derive their own.
+    let name = o.protocol.name();
+    if o.protocol.needs_radius() {
         let radius = emst_geom::paper_phase2_radius(o.n);
         format!(
-            r#"{{"protocol":"{}","n":{},"seed":{seed},"radius":{radius}}}"#,
-            o.protocol, o.n
+            r#"{{"protocol":"{name}","n":{},"seed":{seed},"radius":{radius}}}"#,
+            o.n
         )
     } else {
-        format!(
-            r#"{{"protocol":"{}","n":{},"seed":{seed}}}"#,
-            o.protocol, o.n
-        )
+        format!(r#"{{"protocol":"{name}","n":{},"seed":{seed}}}"#, o.n)
     }
 }
 
@@ -356,41 +355,28 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let turnaways = counter("lifecycle", "turnaways");
     let server_5xx = counter("requests", "server_5xx").saturating_sub(turnaways);
 
-    let doc = format!(
-        r#"{{
-  "schema": "bench_service/v2",
-  "clients": {},
-  "requests": {total},
-  "n": {},
-  "protocol": "{}",
-  "cold_ratio": {},
-  "warm_keys": {},
-  "wall_s": {wall_s},
-  "rps": {rps},
-  "p50_ms": {p50_ms},
-  "p99_ms": {p99_ms},
-  "cache_hits": {hits},
-  "cache_misses": {misses},
-  "cache_hit_rate": {hit_rate},
-  "cache_evictions": {},
-  "responses_2xx": {},
-  "responses_4xx": {},
-  "responses_5xx": {server_5xx},
-  "retries": {retries},
-  "turnaways": {turnaways}
-}}
-"#,
-        o.clients,
-        o.n,
-        o.protocol,
-        o.cold_ratio,
-        o.warm_keys,
-        counter("cache", "evictions"),
-        counter("requests", "ok_2xx"),
-        counter("requests", "client_4xx"),
-    );
-    let mut f = std::fs::File::create(&o.out)?;
-    f.write_all(doc.as_bytes())?;
+    let doc = ServiceDoc {
+        clients: o.clients,
+        requests: total,
+        n: o.n,
+        protocol: o.protocol,
+        cold_ratio: o.cold_ratio,
+        warm_keys: o.warm_keys,
+        wall_s,
+        rps,
+        p50_ms,
+        p99_ms,
+        cache_hits: hits,
+        cache_misses: misses,
+        cache_hit_rate: hit_rate,
+        cache_evictions: counter("cache", "evictions"),
+        responses_2xx: counter("requests", "ok_2xx"),
+        responses_4xx: counter("requests", "client_4xx"),
+        responses_5xx: server_5xx,
+        retries,
+        turnaways,
+    };
+    std::fs::write(&o.out, doc.render())?;
     println!(
         "load_gen: {total} requests in {wall_s:.2}s — {rps:.0} req/s, p50 {p50_ms:.2}ms, \
          p99 {p99_ms:.2}ms, cache hit rate {:.2}, {retries} retries → {}",

@@ -26,7 +26,8 @@
 //!   no async runtime): keep-alive fixed-length responses plus chunked
 //!   `Transfer-Encoding` for NDJSON trace streaming via
 //!   [`emst_radio::JsonlSink`] over [`http::ChunkedWriter`];
-//! * [`json`] — the minimal JSON parser behind request decoding.
+//! * [`json`] — re-export of [`emst_analysis::json`], the workspace's
+//!   one JSON parser, behind request decoding.
 //!
 //! Lifecycle robustness: every accepted socket carries read/write
 //! deadlines, idle keep-alive waits are bounded, the connection cap is
@@ -42,12 +43,12 @@
 
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod request;
 pub mod server;
 pub mod session;
 
 pub use client::{Client, Response};
+pub use emst_analysis::json;
 pub use request::{AdvanceRequest, RequestError, SessionRequest, StreamMode, TrialRequest};
 pub use server::{serve, Drain, DrainReport, ServerHandle, ServiceConfig};
 pub use session::{SessionError, SessionTable, SessionTableStats, TraceTail};

@@ -8,16 +8,10 @@
 //! `config` code.
 
 use crate::json::{Json, JsonError};
-use emst_core::{
-    ChurnTimeline, ConfigError, EoptConfig, GhsVariant, MaintainStrategy, Protocol, RankScheme,
-};
-use emst_geom::PathLoss;
+use emst_core::{ChurnTimeline, ConfigError, MaintainStrategy, Protocol};
+use emst_geom::{PathLoss, BASE_SEED};
 use emst_radio::{EnergyConfig, FaultPlan};
 
-/// Default generation seed: the workspace-wide experiment seed
-/// (`emst_bench::BASE_SEED`), restated here because the service does not
-/// depend on the bench crate.
-pub const DEFAULT_SEED: u64 = 0xE0E7_2008;
 /// Largest accepted instance; matches the scale tier the simulator is
 /// qualified at.
 pub const MAX_N: usize = 100_000;
@@ -46,9 +40,7 @@ pub enum StreamMode {
 /// A validated trial request, ready for the run loop.
 #[derive(Debug)]
 pub struct TrialRequest {
-    /// Protocol name as requested (echoed in responses).
-    pub protocol_name: String,
-    /// The decoded protocol.
+    /// The decoded protocol; its registry name is echoed in responses.
     pub protocol: Protocol,
     /// Instance size.
     pub n: usize,
@@ -121,7 +113,7 @@ impl SessionRequest {
             }
         }
         let n = bounded_usize(&doc, "n", 1, MAX_N)?.ok_or(RequestError::MissingField("n"))?;
-        let seed = opt_u64(&doc, "seed")?.unwrap_or(DEFAULT_SEED);
+        let seed = opt_u64(&doc, "seed")?.unwrap_or(BASE_SEED);
         let trial = opt_u64(&doc, "trial")?.unwrap_or(0);
         let radius = match doc.get("radius") {
             None => return Err(RequestError::MissingField("radius")),
@@ -239,9 +231,8 @@ impl std::fmt::Display for RequestError {
             RequestError::BadField { field, why } => write!(f, "field {field:?}: {why}"),
             RequestError::UnknownProtocol(p) => write!(
                 f,
-                "unknown protocol {p:?} (expected one of ghs_original, ghs_modified, \
-                 ghs_lowawake, eopt, co_nnt, nnt_xorder, nnt_id, bfs, election_flood, \
-                 election_tree)"
+                "unknown protocol {p:?} (expected one of {})",
+                Protocol::NAMES.join(", ")
             ),
             RequestError::UnknownField(name) => write!(f, "unknown field {name:?}"),
             RequestError::Conflict(what) => write!(f, "conflicting fields: {what}"),
@@ -275,12 +266,13 @@ impl TrialRequest {
             }
         }
 
-        let protocol_name = req_str(&doc, "protocol")?.to_string();
+        let protocol_name = req_str(&doc, "protocol")?;
         let n = bounded_usize(&doc, "n", 1, MAX_N)?.ok_or(RequestError::MissingField("n"))?;
         let root = bounded_usize(&doc, "root", 0, n.saturating_sub(1))?.unwrap_or(0);
-        let protocol = decode_protocol(&protocol_name, root)?;
+        let protocol = Protocol::from_name(protocol_name, root)
+            .ok_or_else(|| RequestError::UnknownProtocol(protocol_name.to_string()))?;
 
-        let seed = opt_u64(&doc, "seed")?.unwrap_or(DEFAULT_SEED);
+        let seed = opt_u64(&doc, "seed")?.unwrap_or(BASE_SEED);
         let trial = opt_u64(&doc, "trial")?.unwrap_or(0);
         let trials = match opt_u64(&doc, "trials")?.unwrap_or(1) {
             0 => return Err(bad("trials", "must be at least 1")),
@@ -336,7 +328,7 @@ impl TrialRequest {
             ));
         }
         if churn.is_some() {
-            if protocol_name != "ghs_modified" {
+            if protocol.name() != "ghs_modified" {
                 return Err(RequestError::Conflict(
                     "churn maintenance runs over ghs_modified only",
                 ));
@@ -370,7 +362,6 @@ impl TrialRequest {
         }
 
         Ok(TrialRequest {
-            protocol_name,
             protocol,
             n,
             seed,
@@ -429,22 +420,6 @@ fn bounded_usize(
             Ok(Some(x))
         }
     }
-}
-
-fn decode_protocol(name: &str, root: usize) -> Result<Protocol, RequestError> {
-    Ok(match name {
-        "ghs_original" => Protocol::Ghs(GhsVariant::Original),
-        "ghs_modified" => Protocol::Ghs(GhsVariant::Modified),
-        "ghs_lowawake" => Protocol::Ghs(GhsVariant::LowAwake),
-        "eopt" => Protocol::Eopt(EoptConfig::default()),
-        "co_nnt" => Protocol::Nnt(RankScheme::Diagonal),
-        "nnt_xorder" => Protocol::Nnt(RankScheme::XOrder),
-        "nnt_id" => Protocol::Nnt(RankScheme::NodeId),
-        "bfs" => Protocol::Bfs { root },
-        "election_flood" => Protocol::ElectionFlood,
-        "election_tree" => Protocol::ElectionTree,
-        other => return Err(RequestError::UnknownProtocol(other.to_string())),
-    })
 }
 
 fn decode_energy(v: Option<&Json>) -> Result<EnergyConfig, RequestError> {
@@ -662,13 +637,14 @@ fn apply_event(
     })
 }
 
-/// Decodes a `strategy` field; absent defaults to incremental.
+/// Decodes a `strategy` field; absent is the default (incremental).
 fn decode_strategy(v: Option<&Json>) -> Result<MaintainStrategy, RequestError> {
-    match v.map(|s| s.as_str()) {
-        None => Ok(MaintainStrategy::Incremental),
-        Some(Some("incremental")) => Ok(MaintainStrategy::Incremental),
-        Some(Some("recompute")) => Ok(MaintainStrategy::Recompute),
-        Some(_) => Err(bad("strategy", "must be \"incremental\" or \"recompute\"")),
+    match v {
+        None => Ok(MaintainStrategy::default()),
+        Some(s) => s
+            .as_str()
+            .and_then(MaintainStrategy::from_name)
+            .ok_or_else(|| bad("strategy", "must be \"incremental\" or \"recompute\"")),
     }
 }
 
@@ -690,13 +666,14 @@ fn check_fields(v: &Json, what: &str, allowed: &[&str]) -> Result<(), RequestErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emst_core::GhsVariant;
 
     #[test]
     fn minimal_request_fills_defaults() {
         let r =
             TrialRequest::parse(r#"{"protocol": "ghs_modified", "n": 50, "radius": 0.5}"#).unwrap();
         assert_eq!(r.n, 50);
-        assert_eq!(r.seed, DEFAULT_SEED);
+        assert_eq!(r.seed, BASE_SEED);
         assert_eq!(r.trials, 1);
         assert_eq!(r.shards, 1);
         assert_eq!(r.stream, StreamMode::Off);
@@ -710,6 +687,11 @@ mod tests {
         assert_eq!(e.code(), "unknown_field");
         let e = TrialRequest::parse(r#"{"protocol": "dijkstra", "n": 50}"#).unwrap_err();
         assert_eq!(e.code(), "unknown_protocol");
+        assert_eq!(
+            e.to_string(),
+            "unknown protocol \"dijkstra\" (expected one of ghs_original, ghs_modified, \
+             ghs_lowawake, eopt, co_nnt, nnt_xorder, nnt_id, bfs, election_flood, election_tree)"
+        );
         let e = TrialRequest::parse("not json").unwrap_err();
         assert_eq!(e.code(), "bad_json");
         let e = TrialRequest::parse("[1, 2]").unwrap_err();

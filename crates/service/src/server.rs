@@ -48,7 +48,7 @@ use crate::session::{spawn_reaper, SessionError, SessionTable};
 use emst_analysis::parallel_map;
 use emst_core::{
     maintain, ChurnEvent, EpochReport, Instance, InstanceCache, InstanceKey, MaintainSession,
-    MaintainStrategy, RepairPolicy, RunOutcome, SessionLedger, Sim,
+    RepairPolicy, RunOutcome, SessionLedger, Sim,
 };
 use emst_radio::{ClassMask, FilterSink, JsonlSink, Membership, TraceSink};
 use std::collections::HashMap;
@@ -663,7 +663,10 @@ fn execute_batch(
     let mut body = String::with_capacity(rows.len() * 160 + 128);
     body.push_str(&format!(
         r#"{{"t":"batch","protocol":"{}","n":{},"seed":{},"trials":{},"rows":["#,
-        req.protocol_name, req.n, req.seed, req.trials
+        req.protocol.name(),
+        req.n,
+        req.seed,
+        req.trials
     ));
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
@@ -706,13 +709,6 @@ fn render_ledger(l: &SessionLedger) -> String {
     )
 }
 
-fn strategy_name(s: MaintainStrategy) -> &'static str {
-    match s {
-        MaintainStrategy::Incremental => "incremental",
-        MaintainStrategy::Recompute => "recompute",
-    }
-}
-
 fn execute_churn(
     state: &ServiceState,
     req: &TrialRequest,
@@ -723,11 +719,11 @@ fn execute_churn(
     let (instance, cache_hit) = state.cache.get_or_generate(key_for(req, req.trial));
     let report = maintain(instance.points(), radius, &churn.timeline, churn.strategy);
 
-    let strategy = strategy_name(churn.strategy);
+    let strategy = churn.strategy.name();
     let epoch_lines: Vec<String> = report.epochs.iter().map(render_epoch).collect();
     let summary = format!(
         r#"{{"t":"maintain","protocol":"{}","n":{},"seed":{},"strategy":"{strategy}","radius":{},"cache_hit":{cache_hit},"bootstrap":{{"energy":{},"energy_bits":{},"messages":{},"rounds":{},"conserved":{}}},"epochs_run":{},"maintenance_energy":{},"maintenance_energy_bits":{},"maintenance_messages":{},"final_live":{},"final_forest_edges":{}}}"#,
-        req.protocol_name,
+        req.protocol.name(),
         req.n,
         req.seed,
         radius,
@@ -805,7 +801,7 @@ fn handle_session_create(
                 req.seed,
                 req.trial,
                 req.radius,
-                strategy_name(req.strategy),
+                req.strategy.name(),
                 boot_energy.to_bits(),
                 render_ledger(&ledger)
             );
@@ -999,7 +995,12 @@ fn render_outcome(req: &TrialRequest, trial: u64, cache_hit: bool, outcome: &Run
     let faults = outcome.faults();
     let mut s = format!(
         r#"{{"t":"result","protocol":"{}","n":{},"seed":{},"trial":{trial},"outcome":"{tag}","cache_hit":{cache_hit},"faults":{{"drops":{},"retries":{},"timeouts":{}}}"#,
-        req.protocol_name, req.n, req.seed, faults.drops, faults.retries, faults.timeouts
+        req.protocol.name(),
+        req.n,
+        req.seed,
+        faults.drops,
+        faults.retries,
+        faults.timeouts
     );
     match outcome {
         RunOutcome::Failed { error, .. } => {

@@ -4,13 +4,12 @@
 //! invalid request shape must come back as a 400-class typed error.
 
 use emst_core::{GhsVariant, Instance, MaintainStrategy, Protocol, Sim};
+use emst_geom::BASE_SEED as SEED;
 use emst_radio::JsonlSink;
 use emst_service::json::Json;
 use emst_service::{serve, Client, Drain, ServiceConfig};
 use std::io::{Read, Write};
 use std::time::Duration;
-
-const SEED: u64 = 0xE0E7_2008;
 
 fn boot(cache_capacity: usize) -> emst_service::ServerHandle {
     serve(ServiceConfig {
@@ -196,6 +195,23 @@ fn tiny_cache_evicts_lru_and_counts_it() {
     let (status, _) = post(&addr, &req(3));
     assert_eq!(status, 200);
     assert_eq!(cache_counter(&addr, "hits"), 1);
+}
+
+#[test]
+fn every_registry_protocol_is_served() {
+    let server = boot(4);
+    let addr = server.addr().to_string();
+    for name in Protocol::NAMES {
+        let protocol = Protocol::from_name(name, 0).expect("registered name");
+        let body = if protocol.needs_radius() {
+            format!(r#"{{"protocol": "{name}", "n": 60, "radius": 0.4}}"#)
+        } else {
+            format!(r#"{{"protocol": "{name}", "n": 60}}"#)
+        };
+        let (status, doc) = post(&addr, &body);
+        assert_eq!(status, 200, "{body}: {doc:?}");
+        assert_eq!(doc.get("protocol").and_then(Json::as_str), Some(name));
+    }
 }
 
 #[test]

@@ -207,22 +207,20 @@ fn main() {
                 eprintln!("run needs --algo");
                 usage()
             });
-            let (label, protocol, needs_radius) = match algo {
-                "ghs" => ("GHS (original)", Protocol::Ghs(GhsVariant::Original), true),
-                "ghs-mod" => ("GHS (modified)", Protocol::Ghs(GhsVariant::Modified), true),
-                "eopt" => ("EOPT", Protocol::Eopt(EoptConfig::default()), false),
+            let (label, protocol) = match algo {
+                "ghs" => ("GHS (original)", Protocol::Ghs(GhsVariant::Original)),
+                "ghs-mod" => ("GHS (modified)", Protocol::Ghs(GhsVariant::Modified)),
+                "eopt" => ("EOPT", Protocol::Eopt(EoptConfig::default())),
                 "nnt" => (
                     "Co-NNT (diagonal rank)",
                     Protocol::Nnt(RankScheme::Diagonal),
-                    false,
                 ),
-                "nnt-x" => ("NNT (x-rank)", Protocol::Nnt(RankScheme::XOrder), false),
+                "nnt-x" => ("NNT (x-rank)", Protocol::Nnt(RankScheme::XOrder)),
                 "nnt-id" => (
                     "NNT (id-rank, no coordinates)",
                     Protocol::Nnt(RankScheme::NodeId),
-                    false,
                 ),
-                "bfs" => ("BFS flooding tree", Protocol::Bfs { root: 0 }, true),
+                "bfs" => ("BFS flooding tree", Protocol::Bfs { root: 0 }),
                 other => {
                     eprintln!("unknown algorithm {other}");
                     usage()
@@ -237,7 +235,7 @@ fn main() {
             });
             let run = |sink: Option<&mut dyn TraceSink>| {
                 let mut sim = Sim::new(&pts);
-                if needs_radius {
+                if protocol.needs_radius() {
                     sim = sim.radius(radius);
                 }
                 if let Some(s) = sink {

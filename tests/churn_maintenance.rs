@@ -15,32 +15,11 @@
 //!    Static-topology users pay nothing for the lifecycle layer.
 
 use energy_mst::core::GhsVariant;
-use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
-use energy_mst::graph::{kruskal_forest, Edge, Graph, SpanningTree};
+use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points};
+use energy_mst::graph::disk_msf;
 use energy_mst::{maintain, ChurnTimeline, MaintainStrategy, Membership, Protocol, Sim};
 use proptest::prelude::*;
 use std::path::PathBuf;
-
-/// MSF of the live unit-disk subgraph by Kruskal — the ground truth.
-fn live_msf(points: &[Point], radius: f64, members: &Membership) -> SpanningTree {
-    let n = points.len();
-    let mut edges = Vec::new();
-    for u in 0..n {
-        if !members.is_live(u) {
-            continue;
-        }
-        for v in (u + 1)..n {
-            if !members.is_live(v) {
-                continue;
-            }
-            let d = points[u].dist(&points[v]);
-            if d <= radius {
-                edges.push(Edge::new(u, v, d));
-            }
-        }
-    }
-    SpanningTree::new(n, kruskal_forest(&Graph::from_edges(n, edges)))
-}
 
 /// Maps proptest-drawn raw events into a well-formed timeline, with the
 /// same liveness bookkeeping the chaos generator keeps: only live nodes
@@ -123,7 +102,7 @@ proptest! {
             "strategies disagree on {}",
             tl.to_source()
         );
-        let truth = live_msf(&inc.points, radius, &inc.members);
+        let truth = disk_msf(&inc.points, radius, |u| inc.members.is_live(u));
         prop_assert!(
             inc.tree().same_edges(&truth),
             "maintained forest is not the live MSF on {}",
