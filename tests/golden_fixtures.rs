@@ -34,6 +34,7 @@ fn instance(seed: u64) -> Vec<Point> {
 fn cases() -> Vec<(&'static str, Protocol, Option<f64>)> {
     let r = paper_phase2_radius(N);
     vec![
+        ("ghs_original", Protocol::Ghs(GhsVariant::Original), Some(r)),
         ("ghs_modified", Protocol::Ghs(GhsVariant::Modified), Some(r)),
         ("eopt", Protocol::Eopt(Default::default()), None),
         ("co_nnt", Protocol::Nnt(RankScheme::Diagonal), None),
@@ -174,7 +175,7 @@ fn stage_runtime_reproduces_pre_refactor_runs_bit_for_bit() {
         }
     }
     if !bless {
-        assert_eq!(checked, 16, "all fixture cases must be compared");
+        assert_eq!(checked, 20, "all fixture cases must be compared");
     }
 }
 
@@ -199,5 +200,5 @@ fn repair_enabled_clean_runs_match_pinned_fixtures() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 8, "all clean fixture cases must be compared");
+    assert_eq!(checked, 10, "all clean fixture cases must be compared");
 }
