@@ -7,14 +7,23 @@
 //! at the connectivity radius `|E| = Θ(n log n)`, so both variants remain
 //! `Θ(log² n)` in *energy* — the asymptotic gain materialises only inside
 //! EOPT's percolation-radius phase. This ablation shows exactly that:
-//! a solid message/energy win here, but the same growth exponent.
+//! a solid message/energy win here, but the same growth exponent. The run
+//! exits non-zero unless the modified variant sends fewer messages and
+//! spends less energy than the original at every `n`.
 //!
 //! Run: `cargo run --release -p emst-bench --bin ablation_ghs [-- --trials N --csv]`
 
 use emst_analysis::{fit_loglog_exponent, fnum, Table};
-use emst_bench::{ghs_variant_row, run_sweep_multi, Options};
+use emst_bench::{all_hold, ghs_variant_row, run_sweep_multi, Options, ReportError};
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("ablation_ghs: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), ReportError> {
     let opts = Options::from_env();
     let sizes: Vec<usize> = if opts.quick {
         vec![100, 200, 400]
@@ -57,7 +66,20 @@ fn main() {
     let me: Vec<f64> = rows.iter().map(|(_, s)| s[3].mean).collect();
     let fo = fit_loglog_exponent(&ns, &oe);
     let fm = fit_loglog_exponent(&ns, &me);
+    let checks = [
+        (
+            "modified sends fewer messages at every n",
+            rows.iter().all(|(_, [om, _, mm, _])| mm.mean < om.mean),
+        ),
+        (
+            "modified spends less energy at every n",
+            rows.iter().all(|(_, [_, oe, _, me])| me.mean < oe.mean),
+        ),
+    ];
     println!("shape checks:");
+    for (name, ok) in &checks {
+        println!("  {name}: {ok}");
+    }
     println!(
         "  both variants grow like log^2 n at the connectivity radius: slopes {:.2} (orig) vs {:.2} (mod)",
         fo.slope, fm.slope
@@ -65,4 +87,5 @@ fn main() {
     println!(
         "  modified wins on constants, not exponents — the asymptotic win needs EOPT's phase 1"
     );
+    all_hold(&checks)
 }

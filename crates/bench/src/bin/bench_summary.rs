@@ -69,9 +69,13 @@ const GUARD_MAX_RATIO: f64 = 1.25;
 const FLAT_BASELINE_N: usize = 2000;
 const FLAT_MIN_RATIO: f64 = 0.3;
 
-/// The `--large` extension sizes, run only for the protocols that scale
-/// (modified GHS and EOPT; the original variant's test/accept/reject
-/// traffic and the reactive fleets are quadratic-ish time sinks there).
+/// The `--large` extension sizes, run only for modified GHS and EOPT, the
+/// protocols the scale layer targets. Co-NNT and BFS stay at the default
+/// sizes, and so does the original variant: its test/accept/reject traffic
+/// is O(|E| + n log n), not quadratic, but at 2 150 100 / 12 462 104
+/// messages for n = 20 000 / 100 000 it is four times the modified
+/// variant's, and a run at n = 100 000 takes 1.0–1.7 s on a 2-vCPU host
+/// (EXPERIMENTS.md R3).
 const LARGE_SIZES: [usize; 2] = [20_000, 100_000];
 
 /// The timed protocols at `n`, by registry name (BFS floods from the

@@ -4,14 +4,24 @@
 //! Paper setup (§VII): GHS and EOPT's second phase use radius
 //! `1.6·√(ln n/n)`; EOPT's first phase uses `1.4·√(1/n)`. The paper's
 //! Figure 3(a) shows GHS growing far faster than EOPT, with Co-NNT nearly
-//! flat near the bottom.
+//! flat near the bottom. The run exits non-zero when one of those three
+//! shape checks fails at the largest `n`.
 //!
 //! Run: `cargo run --release -p emst-bench --bin fig3a [-- --trials N --csv --quick]`
 
 use emst_analysis::{fnum, LineChart, Series, Table};
-use emst_bench::{fig3_energies, run_sweep_multi, save_svg, Options};
+use emst_bench::{
+    all_hold, fig3_energies, first_row, last_row, run_sweep_multi, save_svg, Options, ReportError,
+};
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("fig3a: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), ReportError> {
     let opts = Options::from_env();
     let sizes = opts.paper_sizes();
     eprintln!(
@@ -65,26 +75,27 @@ fn main() {
     save_svg(&opts, "fig3a", &chart.render());
 
     // Shape verdicts matching the paper's qualitative claims.
-    let last = rows.last().expect("non-empty sweep");
-    let (n, [ghs, eopt, nnt]) = last;
+    let (n, [ghs, eopt, nnt]) = last_row(&rows, "fig3a size")?;
+    let first = first_row(&rows, "fig3a size")?;
+    let checks = [
+        ("GHS > EOPT", ghs.mean > eopt.mean),
+        ("EOPT > Co-NNT", eopt.mean > nnt.mean),
+        ("Co-NNT flat", nnt.mean < first.1[2].mean * 4.0 + 10.0),
+    ];
     println!("shape checks at n = {n}:");
     println!(
         "  GHS > EOPT:   {} ({:.1} vs {:.1})",
-        ghs.mean > eopt.mean,
-        ghs.mean,
-        eopt.mean
+        checks[0].1, ghs.mean, eopt.mean
     );
     println!(
         "  EOPT > Co-NNT: {} ({:.1} vs {:.1})",
-        eopt.mean > nnt.mean,
-        eopt.mean,
-        nnt.mean
+        checks[1].1, eopt.mean, nnt.mean
     );
-    let first = &rows[0];
     println!(
         "  Co-NNT flat:  {} (energy x{:.2} while n x{})",
-        nnt.mean < first.1[2].mean * 4.0 + 10.0,
+        checks[2].1,
         nnt.mean / first.1[2].mean.max(1e-9),
         n / first.0
     );
+    all_hold(&checks)
 }

@@ -23,8 +23,8 @@ pub use chaos::{
 pub use cli::Options;
 pub use fanout::{apply_thread_override, run_sweep, run_sweep_multi, run_trials};
 pub use report::{
-    first_row, last_row, row_at, ReportError, CONNECTIVITY_MULTIPLIERS, CONNECTIVITY_PAPER_INDEX,
-    EOPT_ABLATION_MULTIPLIERS, EOPT_ABLATION_PAPER_INDEX,
+    all_hold, first_row, last_row, row_at, ReportError, CONNECTIVITY_MULTIPLIERS,
+    CONNECTIVITY_PAPER_INDEX, EOPT_ABLATION_MULTIPLIERS, EOPT_ABLATION_PAPER_INDEX,
 };
 pub use runner::*;
 

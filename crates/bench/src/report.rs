@@ -43,6 +43,11 @@ pub enum ReportError {
         /// What was absent.
         what: &'static str,
     },
+    /// Shape checks the report gates on came out false.
+    CheckFailed {
+        /// The failed checks' names, comma-separated.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for ReportError {
@@ -52,6 +57,7 @@ impl std::fmt::Display for ReportError {
                 write!(f, "{what} sweep produced no rows; nothing to report")
             }
             ReportError::Missing { what } => write!(f, "{what} is absent; nothing to report"),
+            ReportError::CheckFailed { what } => write!(f, "shape check failed: {what}"),
         }
     }
 }
@@ -72,6 +78,23 @@ pub fn last_row<'a, T>(rows: &'a [T], what: &'static str) -> Result<&'a T, Repor
 /// typed error naming the sweep.
 pub fn row_at<'a, T>(rows: &'a [T], at: usize, what: &'static str) -> Result<&'a T, ReportError> {
     rows.get(at).ok_or(ReportError::EmptySweep { what })
+}
+
+/// `Ok` when every named shape check holds, else a typed error naming the
+/// ones that do not — the exit gate of reports whose verdicts are claims.
+pub fn all_hold(checks: &[(&str, bool)]) -> Result<(), ReportError> {
+    let failed: Vec<&str> = checks
+        .iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(name, _)| *name)
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(ReportError::CheckFailed {
+            what: failed.join(", "),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -110,5 +133,15 @@ mod tests {
         assert_eq!(*row_at(&[1.0, 2.0], 0, "x").unwrap(), 1.0);
         let msg = last_row(&empty, "connectivity").unwrap_err().to_string();
         assert!(msg.contains("connectivity"));
+    }
+
+    #[test]
+    fn all_hold_names_every_failed_check() {
+        assert!(all_hold(&[]).is_ok());
+        assert!(all_hold(&[("a", true), ("b", true)]).is_ok());
+        let msg = all_hold(&[("a", false), ("b", true), ("c", false)])
+            .unwrap_err()
+            .to_string();
+        assert_eq!(msg, "shape check failed: a, c");
     }
 }

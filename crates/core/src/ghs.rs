@@ -55,7 +55,7 @@
 //! (`crate::eopt`) drives this same engine at two radii.
 
 use emst_graph::{Edge, SpanningTree};
-use emst_radio::{FaultKind, FaultPlan, Membership, RadioNet};
+use emst_radio::{FaultKind, FaultPlan, Membership, RadioNet, Topology};
 use std::collections::VecDeque;
 
 /// Sentinel terminating intrusive member lists.
@@ -257,7 +257,9 @@ pub struct GhsEngine {
     /// distances are exactly symmetric, so one entry serves both
     /// directions bit-identically.
     parent_energy: Vec<f64>,
-    /// Per-node neighbour rows in one flat CSR arena (row `u` is
+    /// Private per-node neighbour rows of faulty and restricted runs (clean
+    /// runs scan the topology's shared sorted rows and leave these empty)
+    /// in one flat CSR arena (row `u` is
     /// `nbr_data[nbr_off[u]..nbr_off[u + 1]]`), each row sorted by
     /// `(dist, id)` — positions are recovered by binary search (distances
     /// are exactly symmetric, so a row's entry for a peer carries the same
@@ -322,12 +324,18 @@ pub struct GhsEngine {
     reflip_adj: Vec<(u32, u32)>,
     reflip_visited: Vec<bool>,
     reflip_queue: VecDeque<u32>,
-    /// Per-node scan cursor into the topology's sorted rows (clean
-    /// modified runs). Entries before the cursor joined the node's own
-    /// fragment in an earlier phase; fragments only ever merge, so they
-    /// can never turn foreign again and each row is scanned O(deg) total
-    /// across all phases instead of O(deg) per phase.
+    /// Per-node scan cursor into the topology's sorted rows (clean runs).
+    /// Entries before the cursor joined the node's own fragment in an
+    /// earlier phase (modified) or were rejected (original); fragments
+    /// only ever merge, so they can never turn foreign again and each row
+    /// is scanned O(deg) total across all phases instead of O(deg) per
+    /// phase.
     moe_state: Vec<MoeSlot>,
+    /// Clean original runs: one reject bit per directed sorted-row entry,
+    /// entry `k` of `u`'s row at bit `Topology::row_offset(u) + k`. A
+    /// reject sets both directions of the edge; [`GhsEngine::discover`]
+    /// clears the slab.
+    rejected: Vec<u64>,
     tree_edges: Vec<Edge>,
     /// Per fragment id: does not search for MOEs (the giant in EOPT step
     /// 2). Set only on live ids.
@@ -415,6 +423,7 @@ impl GhsEngine {
             reflip_visited: Vec::new(),
             reflip_queue: VecDeque::new(),
             moe_state: Vec::new(),
+            rejected: Vec::new(),
             tree_edges: Vec::new(),
             passive: vec![false; n],
             inactive: vec![false; n],
@@ -649,46 +658,24 @@ impl GhsEngine {
             net.local_broadcast_silent(u, radius, kinds.hello);
         }
         net.tick_round();
+        // Clean runs never materialise private neighbour rows: MOE search
+        // borrows the topology's shared `(dist, id)`-sorted rows. The
+        // modified variant reads live fragment ids directly (announces keep
+        // the §V-A caches *exact* here — every row-holder is in announce
+        // range — so the cache IS the live id); the original variant keeps
+        // one reject bit per row entry. The sorted view is forced now so
+        // phase timings don't absorb the one-time build; with an
+        // instance-cached topology it is already built.
         let topo = net.topology_at(radius).expect("cached above");
-        if self.variant.is_modified() {
-            // Clean modified runs never materialise private neighbour rows:
-            // MOE search borrows the topology's shared `(dist, id)`-sorted
-            // rows and reads live fragment ids directly (announces keep the
-            // §V-A caches *exact* here — every row-holder is in announce
-            // range — so the cache IS the live id). The sorted view is
-            // forced now so phase timings don't absorb the one-time build;
-            // with an instance-cached topology it is already built.
-            let _ = topo.sorted();
-            self.nbr_data.clear();
-            self.nbr_off.clear();
-            self.nbr_off.resize(n + 1, 0);
-            self.moe_state.clear();
-            self.moe_state.resize(n, MoeSlot::UNSCANNED);
-        } else {
-            // The original variant keeps private rows: test/accept/reject
-            // bookkeeping needs a mutable `rejected` flag per edge.
-            self.nbr_off.clear();
-            self.nbr_off.push(0);
-            let mut total = 0u32;
-            for u in 0..n {
-                total += topo.degree(u) as u32;
-                self.nbr_off.push(total);
-            }
-            self.nbr_data.clear();
-            self.nbr_data.reserve(total as usize);
-            for u in 0..n {
-                let start = self.nbr_data.len();
-                for (&v, &d) in topo.ids(u).iter().zip(topo.dists(u)) {
-                    self.nbr_data.push(Nbr {
-                        id: v,
-                        dist: d,
-                        frag: self.frag[v as usize],
-                        rejected: false,
-                    });
-                }
-                self.nbr_data[start..]
-                    .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            }
+        let _ = topo.sorted();
+        self.nbr_data.clear();
+        self.nbr_off.clear();
+        self.nbr_off.resize(n + 1, 0);
+        self.moe_state.clear();
+        self.moe_state.resize(n, MoeSlot::UNSCANNED);
+        self.rejected.clear();
+        if !self.variant.is_modified() {
+            self.rejected.resize(topo.directed_edges().div_ceil(64), 0);
         }
         self.inactive.fill(false);
     }
@@ -1008,19 +995,14 @@ impl GhsEngine {
     /// from the topology's shared sorted rows. The cursor skips the prefix
     /// that already belongs to `u`'s fragment — sound because fragments
     /// only merge: once `v` shares `u`'s fragment they share it forever.
-    fn local_moe_clean(&mut self, topo: &emst_radio::Topology, u: usize) -> Option<Cand> {
+    fn local_moe_clean(&mut self, topo: &Topology, u: usize) -> Option<Cand> {
         Self::moe_scan(topo, &self.frag, &mut self.moe_state[u], u)
     }
 
     /// The cursor scan behind [`GhsEngine::local_moe_clean`], shared with
     /// the sharded stage's workers (no `&self` so a worker can borrow its
     /// slot block mutably while `frag` stays shared).
-    fn moe_scan(
-        topo: &emst_radio::Topology,
-        frag: &[u32],
-        slot: &mut MoeSlot,
-        u: usize,
-    ) -> Option<Cand> {
+    fn moe_scan(topo: &Topology, frag: &[u32], slot: &mut MoeSlot, u: usize) -> Option<Cand> {
         let my = frag[u];
         if slot.v == MOE_EXHAUSTED {
             return None;
@@ -1075,9 +1057,53 @@ impl GhsEngine {
             })
     }
 
-    /// Local MOE of node `u` under the original variant: probe unrejected
-    /// edges in ascending weight order with test/accept/reject exchanges.
-    /// Returns the candidate and the number of exchanges performed.
+    /// Clean-run MOE of node `u` under the original variant: the scan of
+    /// [`GhsEngine::local_moe_original`] — the same edges tested in the same
+    /// order, the same messages — over the topology's shared sorted rows.
+    /// Reject marks are bits of `rejected`, and the slot cursor resumes past
+    /// the node's rejected prefix. Each exchange is charged at the row
+    /// distance, bit-for-bit the `pos(u).dist(pos(v))` either direction
+    /// would evaluate.
+    fn local_moe_original_clean(
+        &mut self,
+        net: &mut RadioNet<'_>,
+        topo: &Topology,
+        u: usize,
+        kinds: &GhsKinds,
+    ) -> (Option<Cand>, u64) {
+        let my = self.frag[u];
+        let (ids, dists) = (topo.sorted_ids(u), topo.sorted_dists(u));
+        let base = topo.row_offset(u);
+        let mut exchanges = 0u64;
+        let mut found = None;
+        let mut k = self.moe_state[u].cursor as usize;
+        while k < ids.len() {
+            if !bit(&self.rejected, base + k) {
+                let (v, w) = (ids[k], dists[k]);
+                let e = net.loss().energy_for_distance(w);
+                net.unicast_with_energy(u, v as usize, kinds.test, e);
+                net.unicast_with_energy(v as usize, u, kinds.test, e);
+                exchanges += 1;
+                if self.frag[v as usize] != my {
+                    found = Some(Cand { w, u: u as u32, v });
+                    break;
+                }
+                // Reject: mark both directions, permanently.
+                set_bit(&mut self.rejected, base + k);
+                let back = sorted_slot(topo, v as usize, w, u as u32);
+                set_bit(&mut self.rejected, topo.row_offset(v as usize) + back);
+            }
+            k += 1;
+        }
+        // Every entry before `k` is rejected now.
+        self.moe_state[u].cursor = k as u32;
+        (found, exchanges)
+    }
+
+    /// Local MOE of node `u` under the original variant over private rows
+    /// (faulty and restricted runs): probe unrejected edges in ascending
+    /// weight order with test/accept/reject exchanges. Returns the
+    /// candidate and the number of exchanges performed.
     fn local_moe_original(
         &mut self,
         net: &mut RadioNet<'_>,
@@ -1154,7 +1180,7 @@ impl GhsEngine {
     #[allow(clippy::needless_range_loop)] // `p` is the position value itself
     fn moe_sharded(
         &mut self,
-        topo: Option<&emst_radio::Topology>,
+        topo: Option<&Topology>,
         active_nodes: &[u32],
         bounds: &[(u32, u32, u32)],
         stalled: &[bool],
@@ -1347,12 +1373,11 @@ impl GhsEngine {
         cand.clear();
         cand.resize(bounds.len(), None);
         let mut max_exchanges = 0u64;
-        // Clean modified runs search over the shared sorted topology rows
-        // (an owned handle, so `net` stays free for the original variant's
-        // test exchanges below).
-        let clean_topo =
-            (self.variant.is_modified() && self.faults.is_none() && self.members.is_none())
-                .then(|| net.topology_handle().expect("discover cached this radius"));
+        // Clean runs search over the shared sorted topology rows (an owned
+        // handle, so `net` stays free for the original variant's test
+        // exchanges below).
+        let clean_topo = (self.faults.is_none() && self.members.is_none())
+            .then(|| net.topology_handle().expect("discover cached this radius"));
         let shard_count = if self.variant.is_modified() && self.members.is_none() {
             self.shards.min(self.n.max(1))
         } else {
@@ -1377,6 +1402,9 @@ impl GhsEngine {
                 }
                 for &u in &active_nodes[s as usize..e as usize] {
                     let (c, ex) = match (&clean_topo, self.variant) {
+                        (Some(topo), GhsVariant::Original) => {
+                            self.local_moe_original_clean(net, topo, u as usize, kinds)
+                        }
                         (Some(topo), _) => (self.local_moe_clean(topo, u as usize), 0),
                         (None, GhsVariant::Original) => {
                             self.local_moe_original(net, u as usize, kinds)
@@ -1975,6 +2003,32 @@ impl GhsEngine {
     }
 }
 
+/// Bit `i` of a word-packed bit slab.
+#[inline]
+fn bit(slab: &[u64], i: usize) -> bool {
+    (slab[i / 64] >> (i % 64)) & 1 != 0
+}
+
+/// Sets bit `i` of a word-packed bit slab.
+#[inline]
+fn set_bit(slab: &mut [u64], i: usize) {
+    slab[i / 64] |= 1 << (i % 64);
+}
+
+/// Position of neighbour `id` at distance `dist` in `u`'s `(dist, id)`-sorted
+/// topology row: a binary search for the first entry at `dist`, then a
+/// walk over the (rare) equal-distance entries before `id`. Row distances
+/// are exactly symmetric, so the bits `id`'s row holds for `u` find `u`'s
+/// entry for `id`.
+fn sorted_slot(topo: &Topology, u: usize, dist: f64, id: u32) -> usize {
+    let (ids, dists) = (topo.sorted_ids(u), topo.sorted_dists(u));
+    let lo = dists.partition_point(|d| d.total_cmp(&dist).is_lt());
+    lo + ids[lo..]
+        .iter()
+        .position(|&v| v == id)
+        .expect("clean topology rows are symmetric")
+}
+
 /// Stable counting sort: writes `items` into `out` grouped by bucket
 /// `key(item) < buckets`, and bucket `b`'s range into `off[b]..off[b + 1]`.
 /// Linear in items plus buckets, with no comparisons; both buffers are
@@ -2068,7 +2122,9 @@ fn radix_sort_ids(ids: &mut Vec<u32>, tmp: &mut Vec<u32>, off: &mut Vec<u32>, n:
 /// stays foreign, a stage-B visit reads this 16-byte slot and probes
 /// `frag[]` once; the sorted row itself is only touched again when the
 /// candidate gets absorbed into the node's own fragment and the cursor
-/// has to advance (amortised O(row) over the whole run).
+/// has to advance (amortised O(row) over the whole run). The original
+/// variant uses the cursor alone: every entry before it is rejected, and
+/// the entry under it is re-tested each phase like any unrejected one.
 #[derive(Clone, Copy)]
 struct MoeSlot {
     cursor: u32,
@@ -2474,10 +2530,43 @@ mod tests {
         }
     }
 
+    /// The clean original variant's reject state over the shared sorted
+    /// rows: bits are symmetric (u→v is set iff v→u is), a rejected entry
+    /// joins two nodes of one fragment, and every entry before a node's
+    /// cursor is rejected.
+    fn check_rejects(eng: &GhsEngine, topo: &Topology, ctx: &str) {
+        for u in 0..eng.n {
+            let base = topo.row_offset(u);
+            let cursor = eng.moe_state[u].cursor as usize;
+            for (k, &v) in topo.sorted_ids(u).iter().enumerate() {
+                let v = v as usize;
+                let rejected = bit(&eng.rejected, base + k);
+                let back = topo.sorted_ids(v).iter().position(|&w| w as usize == u);
+                let back = topo.row_offset(v) + back.expect("clean rows are symmetric");
+                assert_eq!(
+                    rejected,
+                    bit(&eng.rejected, back),
+                    "{ctx}: reject bits of {u}→{v} and {v}→{u} differ"
+                );
+                if rejected {
+                    assert_eq!(
+                        eng.frag[u], eng.frag[v],
+                        "{ctx}: rejected edge {u}–{v} joins two fragments"
+                    );
+                }
+                assert!(
+                    k >= cursor || rejected,
+                    "{ctx}: entry {k} of {u} is before its cursor {cursor} but not rejected"
+                );
+            }
+        }
+    }
+
     /// Runs `eng` to quiescence one `phase()` at a time — stopping like
     /// `run_phases` does — and checks the arena after every phase, plus
-    /// that each passive fragment keeps its id and its flag. Returns the
-    /// most fragments a passive one absorbed in a single phase.
+    /// that each passive fragment keeps its id and its flag, and, for a
+    /// clean original run, its reject state. Returns the most fragments a
+    /// passive one absorbed in a single phase.
     fn phases_checked(
         eng: &mut GhsEngine,
         net: &mut RadioNet<'_>,
@@ -2492,6 +2581,10 @@ mod tests {
             let merged = eng.phase(net, kinds);
             let ctx = format!("{ctx}, phase {}", eng.phases());
             check_arena(eng, &ctx);
+            if eng.variant == GhsVariant::Original && eng.faults.is_none() {
+                let topo = net.topology_at(eng.radius).expect("cached by discover");
+                check_rejects(eng, topo, &ctx);
+            }
             let passive_after = eng.passive_fragments();
             for &p in &passive_before {
                 assert!(
@@ -2561,6 +2654,11 @@ mod tests {
                 assert!(
                     eng.tree().same_edges(&reference),
                     "seed {seed}, {variant:?}"
+                );
+                assert_eq!(
+                    eng.rejected.iter().any(|&w| w != 0),
+                    variant == GhsVariant::Original,
+                    "seed {seed}, {variant:?}: only the original variant rejects"
                 );
             }
 

@@ -173,6 +173,15 @@ impl Topology {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
+    /// Start of `u`'s row in the flat edge arrays, shared by both views:
+    /// entry `k` of [`Topology::sorted_ids`]`(u)` (or [`Topology::ids`]`(u)`)
+    /// is flat entry `row_offset(u) + k`, so per-edge protocol state fits
+    /// one slab of [`Topology::directed_edges`] slots.
+    #[inline]
+    pub fn row_offset(&self, u: usize) -> usize {
+        self.offsets[u] as usize
+    }
+
     /// Neighbour ids of `u`, in grid visit order.
     #[inline]
     pub fn ids(&self, u: usize) -> &[u32] {

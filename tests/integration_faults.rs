@@ -4,7 +4,8 @@
 //!
 //! 1. **Zero cost when disabled** — a no-op [`FaultPlan`] must be elided
 //!    entirely: stats bitwise-identical and the trace byte-identical to a
-//!    run that never mentioned faults.
+//!    run that never mentioned faults. An effective plan that never fires
+//!    is not elided but must charge exactly what a clean run charges.
 //! 2. **Graceful degradation** — injected drops/crashes never panic; the
 //!    run finishes as `Complete` or `Degraded` with populated fault
 //!    counters, and a spanning forest (possibly partial) is returned.
@@ -14,7 +15,8 @@
 
 use energy_mst::analysis::set_thread_override;
 use energy_mst::core::{GhsVariant, RankScheme};
-use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
+use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, PathLoss, Point};
+use energy_mst::radio::{EnergyConfig, EnergyLedger};
 use energy_mst::{FaultPlan, JsonlSink, MetricsSink, Protocol, RepairPolicy, RunOutcome, Sim};
 
 fn instance(n: usize) -> Vec<Point> {
@@ -65,6 +67,80 @@ fn noop_plan_is_bit_identical_to_no_plan() {
         assert!(bare.tree.same_edges(&noop.tree), "{label}: tree changed");
         assert_eq!(bare_trace, noop_trace, "{label}: trace bytes differ");
         assert!(noop.stats.faults.is_clean(), "{label}: phantom faults");
+    }
+}
+
+/// Cross-check of the original GHS variant's two row sources. A clean run
+/// scans the topology's shared sorted rows with one reject bit per entry;
+/// a run under an effective plan keeps private rows (faulty tables can be
+/// asymmetric). Crashing the last node at a round no run reaches is such a
+/// plan that never fires, so the private-row path serves as the reference
+/// with no test-only switch: outcome, tree, ledger bits and every trace
+/// line must agree.
+#[test]
+fn never_firing_plan_matches_the_clean_shared_row_scan() {
+    let models = [
+        ("paper", EnergyConfig::paper()),
+        (
+            "extended",
+            EnergyConfig::extended(PathLoss::new(1.0, 3.0), 0.001, 0.0005),
+        ),
+    ];
+    for n in [60, 200, 2000] {
+        let never_firing = FaultPlan::none().crash_at(n - 1, u64::MAX / 2);
+        assert!(!never_firing.is_noop());
+        for seed in 0..3 {
+            let pts = uniform_points(n, &mut trial_rng(0x0E16_0000 + seed, 0));
+            for (model, energy) in models {
+                let ctx = format!("n={n} seed={seed} {model}");
+                let capture = |plan: Option<&FaultPlan>| {
+                    let mut sink = JsonlSink::new(Vec::new());
+                    let mut s = sim(&pts, Some(paper_phase2_radius(n)))
+                        .energy(energy)
+                        .sink(&mut sink);
+                    if let Some(plan) = plan {
+                        s = s.with_faults(plan.clone());
+                    }
+                    let outcome = s.try_run(Protocol::Ghs(GhsVariant::Original));
+                    assert!(outcome.faults().is_clean(), "{ctx}: the plan fired");
+                    let complete = outcome.is_complete();
+                    let out = outcome.into_output().expect("non-failed outcome");
+                    let trace = sink.finish().expect("in-memory write cannot fail");
+                    (
+                        complete,
+                        out,
+                        String::from_utf8(trace).expect("utf-8 trace"),
+                    )
+                };
+                let (clean_complete, clean, clean_trace) = capture(None);
+                let (ref_complete, reference, ref_trace) = capture(Some(&never_firing));
+                assert_eq!(clean_complete, ref_complete, "{ctx}: outcome");
+                assert_eq!(clean.fragments, reference.fragments, "{ctx}: fragments");
+                assert_eq!(clean.tree.edges(), reference.tree.edges(), "{ctx}: tree");
+                let (a, b) = (&clean.stats, &reference.stats);
+                assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{ctx}: energy");
+                assert_eq!(a.messages, b.messages, "{ctx}: messages");
+                assert_eq!(a.rounds, b.rounds, "{ctx}: rounds");
+                let bits = |l: &EnergyLedger| {
+                    let kinds: Vec<_> = l
+                        .kinds()
+                        .map(|(k, t)| (k, t.messages, t.energy.to_bits()))
+                        .collect();
+                    let extended = [l.rx_energy(), l.idle_energy(), l.full_energy()];
+                    (kinds, l.rx_count(), extended.map(f64::to_bits))
+                };
+                assert_eq!(bits(&a.ledger), bits(&b.ledger), "{ctx}: ledger");
+                assert!(a.ledger.kind("ghs/test").messages > 0, "{ctx}: no tests");
+                assert_eq!(
+                    clean_trace.lines().count(),
+                    ref_trace.lines().count(),
+                    "{ctx}: trace length"
+                );
+                for (i, (x, y)) in clean_trace.lines().zip(ref_trace.lines()).enumerate() {
+                    assert_eq!(x, y, "{ctx}: trace line {}", i + 1);
+                }
+            }
+        }
     }
 }
 
