@@ -16,13 +16,19 @@
 //! and stage marks are therefore bit-identical between
 //! `Sim::new(points)` and `Sim::from_instance(&inst)` runs — the
 //! instance only moves the build out of the timed run and shares it.
+//!
+//! **One scan per grid.** Rows at a smaller radius on a grid (EOPT's
+//! step 1 at `r1` on the `r2` grid) are not built: they are restricted
+//! from that grid's own rows ([`Topology::restrict`]), which is the same
+//! topology bit for bit, sorted view included.
 
 use emst_geom::{mix_seed, trial_rng, uniform_points, BucketGrid, Point};
 use emst_radio::Topology;
 use std::sync::{Arc, Mutex};
 
 /// Capacity of the per-instance topology cache. A run needs at most two
-/// entries (EOPT's two radii); four leaves headroom for a caller mixing
+/// entries (EOPT's two radii, the smaller restricted from the larger's
+/// rows rather than built); four leaves headroom for a caller mixing
 /// protocols over one instance before LRU eviction kicks in.
 const TOPOLOGY_CACHE_CAPACITY: usize = 4;
 
@@ -65,6 +71,29 @@ struct TopoCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl TopoCache {
+    /// The entry for `key`, moved to the front; counts a hit.
+    fn hit(&mut self, key: (u64, u64)) -> Option<Arc<Topology>> {
+        let at = self.entries.iter().position(|(g, r, _)| (*g, *r) == key)?;
+        self.hits += 1;
+        let entry = self.entries.remove(at);
+        let t = entry.2.clone();
+        self.entries.insert(0, entry);
+        Some(t)
+    }
+
+    /// Inserts a fresh entry at the front, evicting the least recently
+    /// used one beyond capacity; counts a miss.
+    fn insert(&mut self, key: (u64, u64), t: Arc<Topology>) {
+        self.misses += 1;
+        self.entries.insert(0, (key.0, key.1, t));
+        if self.entries.len() > TOPOLOGY_CACHE_CAPACITY {
+            self.entries.pop();
+            self.evictions += 1;
+        }
+    }
 }
 
 /// A point set plus memoised topology builds, shared across runs.
@@ -158,32 +187,32 @@ impl Instance {
     /// *order* from a standalone `r1` build, and order is
     /// determinism-bearing.
     ///
+    /// A `radius` below `grid_radius` is restricted from the grid's own
+    /// rows (`topology_with_grid(grid_radius, grid_radius)`, fetched or
+    /// built and cached too) instead of scanning a second grid.
+    ///
     /// The build happens under the cache lock, so concurrent first
     /// requests for one key perform exactly one build and everyone gets
     /// the same [`Arc`].
     pub fn topology_with_grid(&self, grid_radius: f64, radius: f64) -> Arc<Topology> {
-        let key = (grid_radius.to_bits(), radius.to_bits());
         let mut cache = self.topos.lock().expect("instance cache poisoned");
-        if let Some(at) = cache
-            .entries
-            .iter()
-            .position(|(g, r, _)| (*g, *r) == (key.0, key.1))
-        {
-            cache.hits += 1;
-            // Refresh recency: the hit entry moves to the front.
-            let entry = cache.entries.remove(at);
-            let t = entry.2.clone();
-            cache.entries.insert(0, entry);
+        self.cached(&mut cache, grid_radius, radius)
+    }
+
+    /// [`Instance::topology_with_grid`] under the held cache lock.
+    fn cached(&self, cache: &mut TopoCache, grid_radius: f64, radius: f64) -> Arc<Topology> {
+        let key = (grid_radius.to_bits(), radius.to_bits());
+        if let Some(t) = cache.hit(key) {
             return t;
         }
-        cache.misses += 1;
-        let grid = BucketGrid::for_radius(&self.points, grid_radius);
-        let t = Arc::new(Topology::build(&grid, radius));
-        cache.entries.insert(0, (key.0, key.1, t.clone()));
-        if cache.entries.len() > TOPOLOGY_CACHE_CAPACITY {
-            cache.entries.pop();
-            cache.evictions += 1;
-        }
+        let t = if radius < grid_radius {
+            let rows = self.cached(cache, grid_radius, grid_radius);
+            Arc::new(rows.restrict(&self.points, radius))
+        } else {
+            let grid = BucketGrid::for_radius(&self.points, grid_radius);
+            Arc::new(Topology::build(&grid, radius))
+        };
+        cache.insert(key, t.clone());
         t
     }
 
@@ -352,6 +381,53 @@ mod tests {
         let grid = BucketGrid::for_radius(inst.points(), 0.4);
         let direct = Topology::build(&grid, 0.25);
         assert_eq!(*inst.topology_with_grid(0.4, 0.25), direct);
+    }
+
+    #[test]
+    fn smaller_radius_is_restricted_from_the_grid_rows() {
+        let inst = Instance::generate(7, 400, 0);
+        let (g, r) = (0.12, 0.05);
+        let step1 = inst.topology_with_grid(g, r);
+        let s = inst.topology_cache_stats();
+        assert_eq!(
+            (s.misses, s.hits, s.len),
+            (2, 0, 2),
+            "the grid rows are cached too"
+        );
+        let _ = inst.topology(g);
+        assert_eq!(inst.topology_cache_stats().hits, 1);
+        let grid = BucketGrid::for_radius(inst.points(), g);
+        let direct = Topology::build(&grid, r);
+        assert_eq!(*step1, direct);
+        assert_eq!(step1.sorted(), direct.sorted());
+    }
+
+    #[test]
+    fn concurrent_first_requests_build_once_per_key() {
+        // Half the threads ask for the grid rows, half for a restriction
+        // of them: whichever comes first, each key is built once and
+        // every other request (the restriction's own fetch of the grid
+        // rows included) is a hit.
+        let inst = Instance::generate(77, 300, 0);
+        let n_threads = 8;
+        let start = std::sync::Barrier::new(n_threads);
+        let got: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n_threads)
+                .map(|i| {
+                    let (inst, start) = (&inst, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        inst.topology_with_grid(0.2, [0.2, 0.1][i % 2])
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, t) in got.iter().enumerate() {
+            assert!(Arc::ptr_eq(t, &got[i % 2]), "one shared build per key");
+        }
+        let s = inst.topology_cache_stats();
+        assert_eq!((s.misses, s.hits, s.len), (2, n_threads as u64 - 1, 2));
     }
 
     #[test]

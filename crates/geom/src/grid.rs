@@ -12,11 +12,13 @@
 //! `usize` — see the type-size guidance in the Rust Performance Book.
 
 use crate::point::Point;
+use std::ops::Range;
 
 /// A uniform bucket grid over `[0,1]²`.
 ///
-/// The grid borrows the point slice; it is cheap to rebuild whenever the
-/// operating radius changes (EOPT rebuilds between its two phases).
+/// The grid borrows the point slice and keeps a cell-ordered copy of the
+/// coordinates (16 B per point); it is cheap to rebuild whenever the
+/// operating radius changes.
 ///
 /// ```
 /// use emst_geom::{BucketGrid, Point};
@@ -39,6 +41,18 @@ pub struct BucketGrid<'a> {
     /// CSR offsets: points of cell `c` are `order[cell_start[c]..cell_start[c+1]]`.
     cell_start: Vec<u32>,
     order: Vec<u32>,
+    /// Coordinates in cell order, `xy[k] = points[order[k]]`: the cells of
+    /// one window row are adjacent in `order`, so a disk query reads each
+    /// window row as one contiguous slice instead of gathering from
+    /// `points`.
+    xy: Vec<Point>,
+}
+
+/// The cell holding coordinate `v` along one axis: monotone in `v`, and
+/// clamped to `0..side` (the cast saturates negative values to 0).
+#[inline]
+fn axis_cell(v: f64, cell_size: f64, side: usize) -> usize {
+    ((v / cell_size) as usize).min(side - 1)
 }
 
 impl<'a> BucketGrid<'a> {
@@ -58,11 +72,8 @@ impl<'a> BucketGrid<'a> {
         let side = ((1.0 / cell_size).ceil() as usize).max(1);
         let ncells = side * side;
         let mut counts = vec![0u32; ncells + 1];
-        let cell_idx = |p: &Point| -> usize {
-            let cx = ((p.x / cell_size) as usize).min(side - 1);
-            let cy = ((p.y / cell_size) as usize).min(side - 1);
-            cy * side + cx
-        };
+        let cell_idx =
+            |p: &Point| axis_cell(p.y, cell_size, side) * side + axis_cell(p.x, cell_size, side);
         for p in points {
             counts[cell_idx(p) + 1] += 1;
         }
@@ -72,9 +83,11 @@ impl<'a> BucketGrid<'a> {
         let cell_start = counts.clone();
         let mut cursor = counts;
         let mut order = vec![0u32; points.len()];
+        let mut xy = vec![Point::default(); points.len()];
         for (i, p) in points.iter().enumerate() {
             let c = cell_idx(p);
             order[cursor[c] as usize] = i as u32;
+            xy[cursor[c] as usize] = *p;
             cursor[c] += 1;
         }
         BucketGrid {
@@ -83,11 +96,13 @@ impl<'a> BucketGrid<'a> {
             side,
             cell_start,
             order,
+            xy,
         }
     }
 
-    /// Convenience constructor sizing cells to the query radius (one ring of
-    /// neighbouring cells covers a disk of that radius).
+    /// Convenience constructor sizing cells to the query radius, so a disk
+    /// of that radius is covered by the 3×3 block of cells around its
+    /// centre (see [`BucketGrid::for_each_in_disk`]).
     pub fn for_radius(points: &'a [Point], radius: f64) -> Self {
         // Cap the cell count: for very small radii a cell per radius would
         // allocate quadratically many empty cells. n cells per side keeps
@@ -135,9 +150,35 @@ impl<'a> BucketGrid<'a> {
     /// Grid coordinates of the cell containing `p`.
     #[inline]
     pub fn cell_of(&self, p: &Point) -> (usize, usize) {
-        let cx = ((p.x / self.cell_size) as usize).min(self.side - 1);
-        let cy = ((p.y / self.cell_size) as usize).min(self.side - 1);
-        (cx, cy)
+        (
+            axis_cell(p.x, self.cell_size, self.side),
+            axis_cell(p.y, self.cell_size, self.side),
+        )
+    }
+
+    /// The cells a disk query of `radius` around `center` scans, as one
+    /// range of positions in `order`/`xy` per window row (row-major, so
+    /// the concatenation is a subsequence of [`BucketGrid::visit_order`]).
+    ///
+    /// The window is the cells holding the disk's bounding box
+    /// `[c − R, c + R]²`, `R = radius·(1 + 1e-9) + 4·ε`, mapped through
+    /// [`BucketGrid::cell_of`]. The pad covers rounding: a point the
+    /// query accepts (`dist_sq ≤ radius²` in floating point) lies within
+    /// `radius·(1 + 4·2⁻⁵³)` of `center` on each axis, and `c ± R`
+    /// rounds to no closer than that for centres in the unit square.
+    /// `cell_of` is monotone, so the accepted point's cell lies between
+    /// the cells of the box's corners. With `cell_size ≥ radius` the
+    /// window is at most 3×3 cells (4 wide for a centre within about
+    /// `1e-9·radius` of a cell edge when the two are equal).
+    #[inline]
+    fn window(&self, center: &Point, radius: f64) -> impl Iterator<Item = Range<usize>> + '_ {
+        let pad = radius * (1.0 + 1e-9) + 4.0 * f64::EPSILON;
+        let (x0, y0) = self.cell_of(&Point::new(center.x - pad, center.y - pad));
+        let (x1, y1) = self.cell_of(&Point::new(center.x + pad, center.y + pad));
+        (y0..=y1).map(move |cy| {
+            let row = cy * self.side;
+            self.cell_start[row + x0] as usize..self.cell_start[row + x1 + 1] as usize
+        })
     }
 
     #[inline]
@@ -149,24 +190,22 @@ impl<'a> BucketGrid<'a> {
     /// Calls `f(index, distance)` for every point within Euclidean distance
     /// `radius` of `center` (inclusive), including any point coincident with
     /// `center` itself; callers filter self-indices as needed.
+    ///
+    /// A point is accepted when `center.dist_sq(p) <= radius * radius`,
+    /// and `distance` is that `dist_sq`'s square root. The visits are
+    /// [`BucketGrid::visit_order`] restricted to the accepted points: the
+    /// scanned window only has to cover them (see `window`), so its size
+    /// never shows in the output.
     pub fn for_each_in_disk<F: FnMut(usize, f64)>(&self, center: &Point, radius: f64, mut f: F) {
         if radius < 0.0 {
             return;
         }
-        let (ccx, ccy) = self.cell_of(center);
-        let reach = (radius / self.cell_size).ceil() as usize + 1;
-        let x0 = ccx.saturating_sub(reach);
-        let x1 = (ccx + reach).min(self.side - 1);
-        let y0 = ccy.saturating_sub(reach);
-        let y1 = (ccy + reach).min(self.side - 1);
         let r_sq = radius * radius;
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                for &i in self.cell_points(cx, cy) {
-                    let d_sq = center.dist_sq(&self.points[i as usize]);
-                    if d_sq <= r_sq {
-                        f(i as usize, d_sq.sqrt());
-                    }
+        for span in self.window(center, radius) {
+            for (&i, p) in self.order[span.clone()].iter().zip(&self.xy[span]) {
+                let d_sq = center.dist_sq(p);
+                if d_sq <= r_sq {
+                    f(i as usize, d_sq.sqrt());
                 }
             }
         }
@@ -226,25 +265,16 @@ impl<'a> BucketGrid<'a> {
             return;
         }
         let r_sq = radius * radius;
-        for u in 0..self.points.len() {
-            let pu = &self.points[u];
-            let (ccx, ccy) = self.cell_of(pu);
-            let reach = (radius / self.cell_size).ceil() as usize + 1;
-            let x0 = ccx.saturating_sub(reach);
-            let x1 = (ccx + reach).min(self.side - 1);
-            let y0 = ccy.saturating_sub(reach);
-            let y1 = (ccy + reach).min(self.side - 1);
-            for cy in y0..=y1 {
-                for cx in x0..=x1 {
-                    for &vi in self.cell_points(cx, cy) {
-                        let v = vi as usize;
-                        if v <= u {
-                            continue;
-                        }
-                        let d_sq = pu.dist_sq(&self.points[v]);
-                        if d_sq <= r_sq {
-                            f(u, v, d_sq.sqrt());
-                        }
+        for (u, pu) in self.points.iter().enumerate() {
+            for span in self.window(pu, radius) {
+                for (&v, p) in self.order[span.clone()].iter().zip(&self.xy[span]) {
+                    let v = v as usize;
+                    if v <= u {
+                        continue;
+                    }
+                    let d_sq = pu.dist_sq(p);
+                    if d_sq <= r_sq {
+                        f(u, v, d_sq.sqrt());
                     }
                 }
             }

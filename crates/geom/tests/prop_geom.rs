@@ -1,6 +1,9 @@
 //! Property-based tests for the geometry substrate.
 
-use emst_geom::{diag_rank_less, nnt_probe_phases, nnt_probe_radius, BucketGrid, PathLoss, Point};
+use emst_geom::{
+    diag_rank_less, nnt_probe_phases, nnt_probe_radius, paper_phase2_radius, BucketGrid, PathLoss,
+    Point,
+};
 use proptest::prelude::*;
 
 fn unit_point() -> impl Strategy<Value = Point> {
@@ -9,6 +12,122 @@ fn unit_point() -> impl Strategy<Value = Point> {
 
 fn point_cloud(max: usize) -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec(unit_point(), 1..max)
+}
+
+/// `x` moved by `k` ulps (`x ≥ 0`); may leave the unit interval.
+fn ulps(x: f64, k: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + k) as u64)
+}
+
+/// `(id, distance bits)` of the points the grid's own test accepts within
+/// `r` of `center`, in visit order: the O(n) reference row.
+fn reference_row(grid: &BucketGrid<'_>, center: &Point, r: f64) -> Vec<(usize, u64)> {
+    let pts = grid.points();
+    grid.visit_order()
+        .iter()
+        .map(|&v| v as usize)
+        .filter_map(|v| {
+            let d_sq = center.dist_sq(&pts[v]);
+            (d_sq <= r * r).then(|| (v, d_sq.sqrt().to_bits()))
+        })
+        .collect()
+}
+
+/// Checks `for_each_in_disk`, `for_neighbors_within` and
+/// `for_each_edge_within` against the reference rows at `r`, for every
+/// point of the grid: ids, order and distance bits.
+fn scans_match_reference(grid: &BucketGrid<'_>, r: f64) -> Result<(), String> {
+    let (pts, cell) = (grid.points(), grid.cell_size());
+    let at = |what: &str, u: usize| format!("{what} at {u} {:?}, cell {cell:e}, r {r:e}", pts[u]);
+    let mut edges_want = Vec::new();
+    for (u, pu) in pts.iter().enumerate() {
+        let want = reference_row(grid, pu, r);
+        let mut disk = Vec::new();
+        grid.for_each_in_disk(pu, r, |v, d| disk.push((v, d.to_bits())));
+        if disk != want {
+            return Err(at("for_each_in_disk", u));
+        }
+        let want: Vec<_> = want.into_iter().filter(|&(v, _)| v != u).collect();
+        let mut row = Vec::new();
+        grid.for_neighbors_within(u, r, |v, d| row.push((v, d.to_bits())));
+        if row != want {
+            return Err(at("for_neighbors_within", u));
+        }
+        edges_want.extend(
+            want.iter()
+                .filter(|&&(v, _)| v > u)
+                .map(|&(v, d)| (u, v, d)),
+        );
+    }
+    let mut edges = Vec::new();
+    grid.for_each_edge_within(r, |u, v, d| edges.push((u, v, d.to_bits())));
+    if edges != edges_want {
+        return Err(format!("for_each_edge_within, cell {cell:e}, r {r:e}"));
+    }
+    Ok(())
+}
+
+/// `pts` with every other point moved onto the nearest vertical cell line
+/// of `BucketGrid::for_radius(&pts, radius)`, ±2 ulps (a point that would
+/// leave the unit square stays put).
+fn snap_half_to_cell_lines(mut pts: Vec<Point>, radius: f64) -> Vec<Point> {
+    let cell = BucketGrid::for_radius(&pts, radius).cell_size();
+    for (i, p) in pts.iter_mut().enumerate().filter(|(i, _)| i % 2 == 0) {
+        let x = ulps((p.x / cell).round() * cell, (i % 5) as i64 - 2);
+        if (0.0..=1.0).contains(&x) {
+            p.x = x;
+        }
+    }
+    pts
+}
+
+/// Points on the cell lines `k·cell` and 1–2 ulps either side, on each
+/// axis and both, and on `x = 1.0` / `y = 1.0`; each with partners at ±r
+/// (and ±1–2 ulps) along each axis — where rounding in `dist_sq` and
+/// `cell_of` can put an accepted neighbour one cell further than `r`
+/// suggests.
+fn cell_line_points(cell: f64, r: f64) -> Vec<Point> {
+    let side = (1.0 / cell).ceil() as usize;
+    let mut lines = vec![1.0, ulps(1.0, -1), ulps(1.0, -2)];
+    for k in [1, 2, side / 2, side - 1] {
+        lines.extend((-2..=2).map(|j| ulps(k as f64 * cell, j)));
+    }
+    let mid = (side / 2) as f64 * cell + 0.37 * cell;
+    let mut base = Vec::new();
+    for &b in &lines {
+        base.extend([Point::new(b, mid), Point::new(mid, b), Point::new(b, b)]);
+    }
+    let mut pts = base.clone();
+    for p in &base {
+        for j in -2..=2 {
+            pts.push(Point::new(ulps(p.x + r, j), p.y));
+            pts.push(Point::new(ulps(p.x - r, j), p.y));
+            pts.push(Point::new(p.x, ulps(p.y + r, j)));
+            pts.push(Point::new(p.x, ulps(p.y - r, j)));
+        }
+    }
+    pts.retain(|p| (0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y));
+    pts
+}
+
+/// The scanned window covers every accepted point, so the three grid
+/// scans equal the reference rows even for points placed where rounding
+/// bites: cells 0.125 and the n = 2000 r₂ and Co-NNT grids; radii one
+/// cell (a run's own radius), 0.3 cells (EOPT step 1 on the r₂ grid),
+/// 2 and 3.7 cells (later Co-NNT probes), each ±1 ulp.
+#[test]
+fn grid_scans_match_reference_rows_on_cell_lines() {
+    for cell in [0.125, paper_phase2_radius(2000), nnt_probe_radius(2, 2000)] {
+        for scale in [1.0, 0.3, 2.0, 3.7] {
+            for k in -1..=1 {
+                let r = ulps(scale * cell, k);
+                let pts = cell_line_points(cell, r);
+                if let Err(e) = scans_match_reference(&BucketGrid::new(&pts, cell), r) {
+                    panic!("{e}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -58,38 +177,23 @@ proptest! {
         prop_assert!(m.energy_for_distance(lo) <= m.energy_for_distance(hi) + 1e-15);
     }
 
-    /// Grid disk queries agree with brute force on random clouds and radii.
+    /// Grid disk queries equal the O(n²) reference rows (ids, order and
+    /// distance bits) on random clouds and radii, every other point
+    /// snapped to a cell line.
     #[test]
-    fn grid_disk_matches_brute_force(pts in point_cloud(120), r in 0.0f64..0.7,
-                                     qraw in 0usize..1000) {
-        let q = qraw % pts.len();
-        let grid = BucketGrid::for_radius(&pts, r.max(1e-3));
-        let mut got: Vec<usize> = Vec::new();
-        grid.for_each_in_disk(&pts[q], r, |j, _| got.push(j));
-        got.sort_unstable();
-        let mut brute: Vec<usize> = (0..pts.len())
-            .filter(|&j| pts[q].dist(&pts[j]) <= r)
-            .collect();
-        brute.sort_unstable();
-        prop_assert_eq!(got, brute);
+    fn grid_disk_matches_brute_force(pts in point_cloud(120), r in 0.0f64..0.7) {
+        let pts = snap_half_to_cell_lines(pts, r.max(1e-3));
+        let checked = scans_match_reference(&BucketGrid::for_radius(&pts, r.max(1e-3)), r);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
-    /// Edge enumeration yields each qualifying unordered pair exactly once.
+    /// Edge enumeration yields each qualifying unordered pair exactly once,
+    /// in the reference order, every other point snapped to a cell line.
     #[test]
     fn grid_edges_match_brute_force(pts in point_cloud(80), r in 0.01f64..0.8) {
-        let grid = BucketGrid::for_radius(&pts, r);
-        let mut got = Vec::new();
-        grid.for_each_edge_within(r, |u, v, _| got.push((u, v)));
-        got.sort_unstable();
-        let mut brute = Vec::new();
-        for u in 0..pts.len() {
-            for v in (u + 1)..pts.len() {
-                if pts[u].dist(&pts[v]) <= r {
-                    brute.push((u, v));
-                }
-            }
-        }
-        prop_assert_eq!(got, brute);
+        let pts = snap_half_to_cell_lines(pts, r);
+        let checked = scans_match_reference(&BucketGrid::for_radius(&pts, r), r);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     /// Predicate-filtered nearest neighbour agrees with brute force.
@@ -129,10 +233,11 @@ proptest! {
     }
 
     /// The three neighbour-query forms (visitor, `_into` scratch buffer,
-    /// legacy `Vec`) agree with each other in content *and order*, and agree
-    /// with the brute-force O(n²) scan as a set. The grid cell size is drawn
+    /// legacy `Vec`) agree with each other in content *and order*, and the
+    /// scans equal the O(n²) reference rows. The grid cell size is drawn
     /// independently of the query radius, so this exercises query radii both
-    /// smaller and (much) larger than one cell.
+    /// smaller and (much) larger than one cell; every other point is
+    /// snapped to a cell line.
     #[test]
     fn neighbor_query_forms_agree_with_brute_force(
         pts in point_cloud(100),
@@ -141,6 +246,7 @@ proptest! {
         qraw in 0usize..1000,
     ) {
         let q = qraw % pts.len();
+        let pts = snap_half_to_cell_lines(pts, cell);
         let grid = BucketGrid::for_radius(&pts, cell);
 
         let legacy = grid.neighbors_within(q, r);
@@ -159,17 +265,8 @@ proptest! {
             prop_assert_eq!(a.1.to_bits(), c.1.to_bits());
         }
 
-        // Set agreement with the brute-force scan.
-        let mut got: Vec<usize> = legacy.iter().map(|&(j, _)| j).collect();
-        got.sort_unstable();
-        let mut brute: Vec<usize> = (0..pts.len())
-            .filter(|&j| j != q && pts[q].dist(&pts[j]) <= r)
-            .collect();
-        brute.sort_unstable();
-        prop_assert_eq!(got, brute);
-        for &(j, d) in &legacy {
-            prop_assert!((d - pts[q].dist(&pts[j])).abs() < 1e-15);
-        }
+        let checked = scans_match_reference(&grid, r);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     /// NNT probe schedule: the last probe radius always covers l, and the

@@ -4,9 +4,10 @@
 //! Fixed-radius protocols (GHS, BFS flood, discovery, leader election)
 //! query the same disk neighbourhoods over and over. Rebuilding each
 //! neighbour list from the [`BucketGrid`] on every broadcast allocates a
-//! fresh `Vec` and re-scans up to nine grid cells per call; a [`Topology`]
-//! materialises all rows once per run in compressed-sparse-row form, after
-//! which every query is a contiguous slice lookup.
+//! fresh `Vec` and re-scans the 3×3 block of grid cells around the node
+//! per call; a [`Topology`] materialises all rows once per run in
+//! compressed-sparse-row form, after which every query is a contiguous
+//! slice lookup.
 //!
 //! **Determinism contract.** Rows are stored in *grid visit order* — the
 //! exact order [`BucketGrid::for_neighbors_within`] yields neighbours
@@ -15,9 +16,14 @@
 //! order* whether it came from the cached topology or a live grid query,
 //! which keeps energy ledgers and golden traces bit-identical across the
 //! two paths.
+//!
+//! **Nested radii.** On one grid, the rows at a smaller radius are the
+//! rows at a larger one filtered by the grid's own acceptance test, in
+//! the same order: [`Topology::restrict`] derives them without a second
+//! grid scan. Their sorted view is sorted on first use, as a build's is.
 
 use crate::membership::Membership;
-use emst_geom::BucketGrid;
+use emst_geom::{BucketGrid, Point};
 use std::sync::OnceLock;
 
 /// CSR adjacency of the unit-disk graph at one operating radius.
@@ -94,6 +100,52 @@ impl Topology {
             });
             let end = u32::try_from(nbr.len()).expect("topology larger than u32 edge space");
             offsets.push(end);
+        }
+        Topology {
+            radius,
+            offsets,
+            nbr,
+            dist,
+            sorted: OnceLock::new(),
+        }
+    }
+
+    /// The rows at `radius ≤ self.radius()` on the grid these rows were
+    /// built on: equal to `Topology::build(&grid, radius)`, both views bit
+    /// for bit, without scanning the grid. `points` are the grid's points.
+    ///
+    /// The build accepts `v` into row `u` when
+    /// `points[u].dist_sq(&points[v]) <= radius * radius`, and visits
+    /// candidates in [`BucketGrid::visit_order`]; a row at a smaller radius
+    /// is therefore the larger row filtered by that test, in the same
+    /// order. `sqrt` is correctly rounded and so monotone: a stored `dist`
+    /// below `(radius * radius).sqrt()` passes the test and one above it
+    /// fails, so only an entry equal to that cut recomputes `dist_sq`.
+    ///
+    /// The sorted view is built on first use, by the same `(dist, id)`
+    /// sort as a build's, so restricting never forces this topology's own
+    /// sorted view.
+    pub fn restrict(&self, points: &[Point], radius: f64) -> Topology {
+        assert!(
+            (0.0..=self.radius).contains(&radius),
+            "restriction radius {radius} outside [0, {}]",
+            self.radius
+        );
+        assert_eq!(points.len(), self.n(), "points do not match the rows");
+        let r_sq = radius * radius;
+        let cut = r_sq.sqrt();
+        let mut offsets = Vec::with_capacity(self.n() + 1);
+        let mut nbr: Vec<u32> = Vec::new();
+        let mut dist: Vec<f64> = Vec::new();
+        offsets.push(0u32);
+        for (u, pu) in points.iter().enumerate() {
+            for (&v, &d) in self.ids(u).iter().zip(self.dists(u)) {
+                if d < cut || (d == cut && pu.dist_sq(&points[v as usize]) <= r_sq) {
+                    nbr.push(v);
+                    dist.push(d);
+                }
+            }
+            offsets.push(u32::try_from(nbr.len()).expect("no larger than the parent rows"));
         }
         Topology {
             radius,
@@ -240,7 +292,89 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emst_geom::{trial_rng, uniform_points};
+    use emst_geom::{paper_phase1_radius, paper_phase2_radius, trial_rng, uniform_points};
+
+    /// Both views of `t`, distances as bits.
+    fn views(t: &Topology) -> [(Vec<u32>, Vec<u64>); 2] {
+        let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect();
+        [
+            (t.nbr.clone(), bits(&t.dist)),
+            (t.sorted().ids.clone(), bits(&t.sorted().dists)),
+        ]
+    }
+
+    #[test]
+    fn restriction_equals_a_build_on_the_same_grid() {
+        // Radii: paper r₁, r₂ (the rows' own) and 0, plus stored row
+        // distances ±1 ulp, where an entry's `dist` can equal the cut while
+        // its `dist_sq` falls on either side of `radius²`.
+        let ulp = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+        let (mut kept_ties, mut dropped_ties) = (0, 0);
+        for n in [60, 2000, 20_000] {
+            let r2 = paper_phase2_radius(n);
+            for seed in 0..3 {
+                let pts = uniform_points(n, &mut trial_rng(84, seed * 1000 + n as u64));
+                let grid = BucketGrid::for_radius(&pts, r2);
+                let rows = Topology::build(&grid, r2);
+                let mut radii = vec![paper_phase1_radius(n), r2, 0.0];
+                for &d in rows.dists(n / 3).iter().take(2) {
+                    radii.extend([ulp(d, -1), d, ulp(d, 1)].map(|r| r.min(r2)));
+                }
+                for r in radii {
+                    let cut = (r * r).sqrt();
+                    for u in 0..n {
+                        for (&v, &d) in rows.ids(u).iter().zip(rows.dists(u)) {
+                            if d == cut && pts[u].dist_sq(&pts[v as usize]) <= r * r {
+                                kept_ties += 1;
+                            } else if d == cut {
+                                dropped_ties += 1;
+                            }
+                        }
+                    }
+                    let restricted = rows.restrict(&pts, r);
+                    let built = Topology::build(&grid, r);
+                    assert_eq!(restricted.radius().to_bits(), r.to_bits());
+                    assert_eq!(
+                        restricted.offsets, built.offsets,
+                        "n {n} seed {seed} r {r:e}"
+                    );
+                    assert_eq!(
+                        views(&restricted),
+                        views(&built),
+                        "n {n} seed {seed} r {r:e}"
+                    );
+                }
+            }
+        }
+        assert!(
+            kept_ties > 0 && dropped_ties > 0,
+            "ties {kept_ties} / {dropped_ties}"
+        );
+    }
+
+    #[test]
+    fn restriction_splits_equal_distances_at_the_cut() {
+        // Two neighbours of node 2 at the origin with the same rounded
+        // distance `d` but `dist_sq` one ulp apart: restricting to `d`
+        // keeps (d, 0) (`dist_sq == d²`) and drops (d, b), which sorts
+        // first by id.
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let d = (0..)
+            .map(|k| f64::from_bits(0.1f64.to_bits() + k))
+            .find(|&d| (d * d).sqrt() == d && next_up(d * d).sqrt() == d)
+            .unwrap();
+        let b = (next_up(d * d) - d * d).sqrt();
+        let pts = [Point::new(d, b), Point::new(d, 0.0), Point::new(0.0, 0.0)];
+        assert_eq!(pts[2].dist_sq(&pts[0]), next_up(d * d));
+        assert_eq!(pts[2].dist_sq(&pts[1]), d * d);
+        let grid = BucketGrid::for_radius(&pts, 0.2);
+        let rows = Topology::build(&grid, 0.2);
+        assert_eq!(rows.sorted_ids(2), [0, 1]);
+        assert_eq!(rows.sorted_dists(2), [d, d]);
+        let restricted = rows.restrict(&pts, d);
+        assert_eq!(restricted.sorted_ids(2), [1]);
+        assert_eq!(views(&restricted), views(&Topology::build(&grid, d)));
+    }
 
     #[test]
     fn rows_match_grid_queries_exactly() {
