@@ -12,6 +12,9 @@
 //! pre-refactor code could not emit them. Everything else — message
 //! order, rounds, phases, merges, faults — must match exactly.
 //!
+//! The `departed` mode restricts the tree builders to a live set (ids 7,
+//! 23 and 41 left before the run). Co-NNT and BFS have no such fixture.
+//!
 //! Regenerate (only when intentionally changing protocol behaviour) with:
 //!
 //! ```text
@@ -20,7 +23,7 @@
 
 use energy_mst::core::{GhsVariant, RankScheme};
 use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
-use energy_mst::{FaultPlan, JsonlSink, Protocol, RepairPolicy, RunOutcome, Sim};
+use energy_mst::{FaultPlan, JsonlSink, Membership, Protocol, RepairPolicy, RunOutcome, Sim};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -53,6 +56,15 @@ fn fault_plan() -> FaultPlan {
         .sleep_between(3, 6, 12)
 }
 
+/// The live set of the `departed` mode: ids 7, 23 and 41 have left.
+fn departed() -> Membership {
+    let mut members = Membership::all_live(N);
+    for u in [7, 23, 41] {
+        members.leave(u);
+    }
+    members
+}
+
 /// Renders one run into the canonical fixture text. `repair` enables the
 /// recovery runtime — used by the refresh guard, which pins that doing so
 /// leaves clean runs bit-identical.
@@ -61,6 +73,7 @@ fn render(
     protocol: Protocol,
     radius: Option<f64>,
     faults: Option<FaultPlan>,
+    members: Option<Membership>,
     repair: bool,
 ) -> String {
     let mut sink = JsonlSink::new(Vec::new());
@@ -70,6 +83,9 @@ fn render(
     }
     if let Some(plan) = faults.clone() {
         sim = sim.with_faults(plan);
+    }
+    if let Some(members) = members {
+        sim = sim.members(members);
     }
     if repair {
         sim = sim.repair(RepairPolicy::default());
@@ -146,9 +162,13 @@ fn stage_runtime_reproduces_pre_refactor_runs_bit_for_bit() {
     for seed in SEEDS {
         let pts = instance(seed);
         for (proto_name, protocol, radius) in cases() {
-            for (mode, faults) in [("clean", None), ("faulted", Some(fault_plan()))] {
+            let mut modes = vec![("clean", None, None), ("faulted", Some(fault_plan()), None)];
+            if !matches!(protocol, Protocol::Nnt(_) | Protocol::Bfs { .. }) {
+                modes.push(("departed", None, Some(departed())));
+            }
+            for (mode, faults, members) in modes {
                 let name = format!("{proto_name}_{seed:x}_{mode}");
-                let got = render(&pts, protocol, radius, faults, false);
+                let got = render(&pts, protocol, radius, faults, members, false);
                 let path = fixture_path(&name);
                 if bless {
                     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -175,7 +195,7 @@ fn stage_runtime_reproduces_pre_refactor_runs_bit_for_bit() {
         }
     }
     if !bless {
-        assert_eq!(checked, 20, "all fixture cases must be compared");
+        assert_eq!(checked, 26, "all fixture cases must be compared");
     }
 }
 
@@ -190,7 +210,7 @@ fn repair_enabled_clean_runs_match_pinned_fixtures() {
         let pts = instance(seed);
         for (proto_name, protocol, radius) in cases() {
             let name = format!("{proto_name}_{seed:x}_clean");
-            let got = render(&pts, protocol, radius, None, true);
+            let got = render(&pts, protocol, radius, None, None, true);
             let want = std::fs::read_to_string(fixture_path(&name))
                 .unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
             assert_eq!(
