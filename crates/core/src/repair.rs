@@ -122,10 +122,10 @@ pub struct RepairStats {
     pub fragments_before: usize,
     /// Survivor-bearing fragments after the final attempt (1 on success).
     pub fragments_after: usize,
-    /// Nodes alive when repair started.
+    /// Nodes that had neither crashed nor departed when repair started.
     pub survivors: usize,
-    /// Nodes crashed before repair started (excluded from the repaired
-    /// forest; they remain isolated vertices).
+    /// Nodes crashed (or departed) before repair started (excluded from
+    /// the repaired forest; they remain isolated vertices).
     pub crashed: usize,
     /// Tree edges discarded from the salvage because an endpoint had
     /// crashed.
@@ -161,11 +161,14 @@ pub(crate) fn survivor_fragments(n: usize, tree: &SpanningTree, survivors: &[boo
     roots.len()
 }
 
-/// Survivor bitmap at the network's current round, per the active plan.
+/// Survivor bitmap at the network's current round: every node that has
+/// neither departed nor crashed.
 fn survivor_map(env: &ExecEnv<'_>) -> Vec<bool> {
-    let now = env.net().clock().now();
-    let plan = env.fault_plan().expect("repair runs on faulted runs only");
-    (0..env.n()).map(|u| plan.alive(u, now)).collect()
+    let net = env.net();
+    let now = net.clock().now();
+    (0..env.n())
+        .map(|u| !net.departed(u) && !net.crashed(u, now))
+        .collect()
 }
 
 /// Whether `tree` leaves the surviving nodes in more than one fragment —

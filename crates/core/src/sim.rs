@@ -123,14 +123,6 @@ pub enum ConfigError {
     /// The contention layer was combined with fault injection; fault
     /// injection composes with the collision-free engine only.
     ContentionWithFaults,
-    /// An effective fault plan was combined with an effective membership
-    /// — two owners of per-round liveness.
-    FaultsWithMembership,
-    /// Awake tracking (or a low-awake protocol, which installs a
-    /// schedule) was combined with an effective fault plan — a
-    /// [`FaultPlan`] already owns adversarial sleep windows, so the two
-    /// would be dual owners of per-round wakefulness.
-    AwakeWithFaults,
     /// The energy configuration carries a negative or non-finite cost
     /// (`rx` or `idle_per_round`). Formerly an `assert!` inside
     /// `EnergyConfig::extended`; surfaced as a value so a service can
@@ -161,14 +153,6 @@ impl std::fmt::Display for ConfigError {
                     "fault injection composes with the collision-free engine only"
                 )
             }
-            ConfigError::FaultsWithMembership => write!(
-                f,
-                "fault injection and an effective membership are mutually exclusive"
-            ),
-            ConfigError::AwakeWithFaults => write!(
-                f,
-                "fault injection and an awake schedule are mutually exclusive"
-            ),
             ConfigError::NegativeEnergy { field } => {
                 write!(f, "energy config: {field} must be finite and non-negative")
             }
@@ -615,7 +599,9 @@ impl<'a> Sim<'a> {
     /// Injects a deterministic fault schedule (link drops, node crashes,
     /// sleep windows) into the run. A no-op plan ([`FaultPlan::is_noop`])
     /// is elided entirely, keeping the clean path bit-identical to a run
-    /// that never called this. Mutually exclusive with
+    /// that never called this. Composes with [`Sim::members`] and awake
+    /// tracking on one availability timeline
+    /// ([`emst_radio::Availability`]); mutually exclusive with
     /// [`Sim::contention`]: fault injection composes with the
     /// collision-free engine only.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -623,13 +609,13 @@ impl<'a> Sim<'a> {
         self
     }
 
-    /// Restricts the run to a live set: only live ids transmit, receive
-    /// or idle-charge, and the protocol engines build their state over
-    /// live ids (dead ids degrade to zero-cost singleton fragments). An
+    /// Restricts the run to a live set: ids that are not live depart for
+    /// the whole run — they never run, hear or idle-charge, and the tree
+    /// builders degrade them to zero-cost singleton fragments. An
     /// all-live membership is elided entirely — exactly like a no-op
     /// [`FaultPlan`] — so static runs stay bit-identical to runs that
-    /// never called this. Mutually exclusive with [`Sim::with_faults`]
-    /// when both are effective (two owners of per-round liveness).
+    /// never called this. Composes with [`Sim::with_faults`] and awake
+    /// tracking for every protocol.
     pub fn members(mut self, members: Membership) -> Self {
         self.members = if members.is_all_live() {
             None
@@ -639,18 +625,16 @@ impl<'a> Sim<'a> {
         self
     }
 
-    /// Enables awake-round tracking: the run installs an all-awake
-    /// [`emst_radio::AwakeSchedule`] and reports awake node-rounds
+    /// Enables awake-round tracking: the run counts awake node-rounds
     /// (total + max-per-node) on [`RunStats::awake`] with per-stage
     /// attribution on every [`StageMark`]. Charges and traces stay
     /// bit-identical to an untracked run except for the purely additive
     /// awake read-outs (pinned by `tests/awake_layer.rs`); `false` (the
-    /// default) is fully elided — no schedule exists and every awake
-    /// read-out is `None`. Low-awake protocols
-    /// ([`GhsVariant::LowAwake`]) install the schedule themselves, so
-    /// this knob is only needed to measure always-awake protocols.
-    /// Mutually exclusive with [`Sim::with_faults`] (a fault plan
-    /// already owns adversarial sleep windows).
+    /// default) is fully elided and every awake read-out is `None`.
+    /// Low-awake protocols ([`GhsVariant::LowAwake`]) track themselves,
+    /// so this knob is only needed to measure always-awake protocols.
+    /// Under a fault plan, crashed and adversarially asleep nodes count
+    /// as awake, exactly as they draw idle energy.
     pub fn awake(mut self, track: bool) -> Self {
         self.awake = track;
         self
@@ -723,20 +707,6 @@ impl<'a> Sim<'a> {
         if self.contention.is_some() && self.faults.is_some() {
             return Err(ConfigError::ContentionWithFaults);
         }
-        // `with_faults` elides no-op plans and `members` elides all-live
-        // memberships, so `Some` means *effective* on both sides — the
-        // same conflict `RadioNet::set_members` asserts, surfaced as a
-        // value before any network exists.
-        if self.faults.is_some() && self.members.is_some() {
-            return Err(ConfigError::FaultsWithMembership);
-        }
-        // Awake tracking is requested explicitly or implied by a
-        // low-awake protocol (which installs its own schedule); either
-        // way it cannot meet a fault plan's adversarial sleep windows.
-        let awake = self.awake || matches!(protocol, Protocol::Ghs(GhsVariant::LowAwake));
-        if awake && self.faults.is_some() {
-            return Err(ConfigError::AwakeWithFaults);
-        }
         let n = self.points.len();
         match protocol {
             Protocol::Ghs(_) if self.contention.is_some() => {
@@ -769,9 +739,9 @@ impl<'a> Sim<'a> {
     /// # Panics
     ///
     /// Only on configuration errors (missing radius, out-of-range root,
-    /// contention combined with GHS/EOPT or with fault injection, faults
-    /// combined with a membership) — never on what happens during the
-    /// run. Use [`Sim::try_run_checked`] to get those as values too.
+    /// contention combined with GHS/EOPT or with fault injection) — never
+    /// on what happens during the run. Use [`Sim::try_run_checked`] to
+    /// get those as values too.
     pub fn try_run(self, protocol: Protocol) -> RunOutcome {
         match self.try_run_checked(protocol) {
             Ok(outcome) => outcome,
@@ -842,7 +812,7 @@ impl<'a> Sim<'a> {
             sink,
         );
         env.set_shards(shards);
-        if let Some(members) = members {
+        if let Some(members) = &members {
             env.set_members(members);
         }
         // The low-awake variant measures itself by definition; plain
@@ -1064,30 +1034,8 @@ mod tests {
 
     #[test]
     fn config_conflicts_surface_as_typed_errors() {
-        use emst_radio::{ContentionConfig, FaultPlan, Membership};
+        use emst_radio::{ContentionConfig, FaultPlan};
         let pts = uniform_points(30, &mut trial_rng(908, 0));
-        // Effective faults + effective membership: the conflict that used
-        // to fire the `RadioNet::set_members` assert mid-run.
-        let mut members = Membership::all_live(30);
-        members.leave(3);
-        let err = Sim::new(&pts)
-            .radius(0.4)
-            .with_faults(FaultPlan::none().drop_probability(0.1))
-            .members(members.clone())
-            .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
-            .unwrap_err();
-        assert_eq!(err, ConfigError::FaultsWithMembership);
-        assert!(err.to_string().contains("mutually exclusive"));
-
-        // A *no-op* plan is elided by the builder, so the same request
-        // without effective faults is not a conflict.
-        assert!(Sim::new(&pts)
-            .radius(0.4)
-            .with_faults(FaultPlan::none())
-            .members(members)
-            .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
-            .is_ok());
-
         let err = Sim::new(&pts)
             .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
             .unwrap_err();

@@ -10,7 +10,7 @@
 //! synchroniser abstraction.
 
 use crate::contention::{resolve_round, ContentionConfig, ContentionOverflow, PendingTx, SlotRng};
-use crate::fault::{backoff_stream_seed, FaultKind, FaultPlan};
+use crate::fault::{backoff_stream_seed, FaultKind};
 use crate::network::RadioNet;
 use emst_geom::Point;
 
@@ -196,9 +196,6 @@ pub struct SyncEngine<'a, P: NodeProtocol> {
     /// Pooled drain buffer for the retry queue.
     retry_scratch: Vec<ReliableTx<P::Msg>>,
     contention: Option<(ContentionConfig, SlotRng)>,
-    /// Fault schedule mirrored from the network at construction time;
-    /// `Some` switches delivery onto the ack/timeout/retry path.
-    faults: Option<FaultPlan>,
     /// Messages awaiting retransmission under the fault path.
     retry_queue: Vec<ReliableTx<P::Msg>>,
     /// Logical protocol rounds executed. Equals the clock under
@@ -217,7 +214,6 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
             "one protocol instance per network node required"
         );
         let n = nodes.len();
-        let faults = net.faults().cloned();
         SyncEngine {
             net,
             nodes,
@@ -228,7 +224,6 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
             still_scratch: Vec::new(),
             retry_scratch: Vec::new(),
             contention: None,
-            faults,
             retry_queue: Vec::new(),
             logical_round: 0,
         }
@@ -278,14 +273,16 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
         // allocate nothing.
         let mut inbox = std::mem::take(&mut self.inbox_scratch);
         for i in 0..n {
-            if let Some(plan) = &self.faults {
-                if !plan.alive(i, clock_round) {
-                    // Crashed: discards whatever arrived, computes nothing.
+            if let Some(av) = self.net.availability() {
+                if av.departed(i) || av.crashed(i, clock_round) {
+                    // Departed or crashed: discards whatever arrived,
+                    // computes nothing.
                     self.inboxes[i].clear();
                     continue;
                 }
-                if !plan.awake(i, clock_round) {
-                    // Asleep: the inbox holds until the node wakes.
+                if av.down(i, clock_round) {
+                    // Adversarially asleep: the inbox holds until the
+                    // node wakes.
                     continue;
                 }
             }
@@ -307,7 +304,7 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
             let res = self.transmit_contended(&mut outbox);
             self.outbox = outbox;
             res?;
-        } else if self.faults.is_some() {
+        } else if self.net.faults().is_some() {
             self.transmit_faulty(&mut outbox);
             self.outbox = outbox;
         } else {
@@ -354,11 +351,17 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
 
     /// Lossy collision-free semantics: each transmission is charged per
     /// attempt; deliveries are filtered by the fault plan's stateless drop
-    /// coins and crash/sleep schedules; undelivered messages are retried
-    /// in subsequent rounds up to [`FaultPlan::max_retries`] extra
-    /// attempts, then abandoned with a timeout.
+    /// coins and the availability timeline; undelivered messages are
+    /// retried in subsequent rounds up to
+    /// [`FaultPlan::max_retries`](crate::FaultPlan::max_retries) extra
+    /// attempts, then abandoned with a timeout. Departed receivers are
+    /// skipped silently.
     fn transmit_faulty(&mut self, outbox: &mut Vec<(usize, Outgoing<P::Msg>)>) {
-        let plan = self.faults.clone().expect("faulty path requires a plan");
+        let max_retries = self
+            .net
+            .faults()
+            .expect("faulty path requires a plan")
+            .max_retries();
         let round = self.net.clock().now();
         let loss = self.net.loss();
         // Rotate the retry queue through the pooled drain buffer so the
@@ -397,14 +400,14 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
         }
         let mut delivered = 0u64;
         for mut tx in queue.drain(..) {
-            if !plan.alive(tx.from, round) {
+            if self.net.crashed(tx.from, round) {
                 // The sender crashed with the message in hand: abandoned,
                 // nothing radiated.
                 self.net
                     .note_fault(FaultKind::Timeout, tx.kind, tx.from, tx.dst);
                 continue;
             }
-            if !plan.awake(tx.from, round) {
+            if self.net.down(tx.from, round) {
                 // A sleeping sender holds the message (uncharged) and
                 // transmits once awake.
                 self.retry_queue.push(tx);
@@ -420,12 +423,14 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
                 .charge_tx(tx.kind, tx.from, tx.dst, tx.power, tx.energy);
             let mut still = std::mem::take(&mut self.still_scratch);
             for (v, d) in tx.pending.drain(..) {
-                if !plan.alive(v, round) {
+                if self.net.departed(v) {
+                    // A departed receiver is not there to wait for.
+                } else if self.net.crashed(v, round) {
                     // A crashed receiver will never ack: count the loss
                     // once and stop waiting for it.
                     self.net
                         .note_fault(FaultKind::Drop, tx.kind, tx.from, Some(v));
-                } else if plan.delivers(round, tx.from, v) {
+                } else if self.net.delivers(round, tx.from, v) {
                     self.inboxes[v].push(Delivery {
                         from: tx.from,
                         dist: d,
@@ -442,7 +447,7 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
                 self.still_scratch = still;
                 continue;
             }
-            if tx.attempts > plan.max_retries() {
+            if tx.attempts > max_retries {
                 self.net
                     .note_fault(FaultKind::Timeout, tx.kind, tx.from, tx.dst);
                 still.clear();
@@ -485,7 +490,12 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
                 }
                 Outgoing::Broadcast { radius, kind, msg } => {
                     self.net.neighbors_into(from, radius, &mut self.rx_scratch);
-                    let waiting: Vec<usize> = self.rx_scratch.iter().map(|&(v, _)| v).collect();
+                    let waiting: Vec<usize> = self
+                        .rx_scratch
+                        .iter()
+                        .map(|&(v, _)| v)
+                        .filter(|&v| !self.net.departed(v))
+                        .collect();
                     pending.push(PendingTx {
                         from,
                         radius,
@@ -557,7 +567,7 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
 
     /// [`SyncEngine::run`] with every failure mode surfaced as a typed
     /// error. Quiescence additionally requires the reliability layer's
-    /// retry queue to be empty; crashed nodes count as done.
+    /// retry queue to be empty; departed and crashed nodes count as done.
     pub fn try_run(&mut self, max_rounds: u64) -> Result<u64, EngineError> {
         let start = self.logical_round;
         loop {
@@ -574,13 +584,14 @@ impl<'a, P: NodeProtocol> SyncEngine<'a, P> {
         }
     }
 
-    /// Every node has terminated (crashed nodes count as terminated).
+    /// Every node has terminated (departed and crashed nodes count as
+    /// terminated).
     fn all_done(&self) -> bool {
         let round = self.net.clock().now();
         self.nodes
             .iter()
             .enumerate()
-            .all(|(i, p)| p.done() || self.faults.as_ref().is_some_and(|f| !f.alive(i, round)))
+            .all(|(i, p)| p.done() || self.net.departed(i) || self.net.crashed(i, round))
     }
 
     /// The underlying network (ledger, clock, geometry).

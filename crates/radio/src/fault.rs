@@ -13,6 +13,12 @@
 //! * **sleep windows** — a node misses all traffic during `[from, to)`
 //!   rounds but transmits queued messages once awake again.
 //!
+//! The plan describes the adversary. At run time it answers only the link
+//! question ([`FaultPlan::drop_coin`]); a network hands its crashes and
+//! sleep windows to the one availability timeline
+//! ([`crate::Availability`]), which also holds departures and scheduled
+//! sleep, so all of them compose on one network.
+//!
 //! Drop coins are *stateless*: each is derived by hashing
 //! `(seed, round, sender, receiver)` through the splitmix64 finalizer, so
 //! outcomes are independent of execution order, thread count, and of the
@@ -122,8 +128,7 @@ impl FaultStats {
 ///     .retries(4)
 ///     .crash_at(7, 100);
 /// assert!(!plan.is_noop());
-/// assert!(!plan.alive(7, 100));
-/// assert!(plan.alive(7, 99));
+/// assert_eq!(plan.crashes(), &[(7, 100)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -266,22 +271,6 @@ impl FaultPlan {
         s
     }
 
-    /// Whether `node` has not crashed by `round`.
-    #[inline]
-    pub fn alive(&self, node: usize, round: u64) -> bool {
-        !self.crash.iter().any(|&(u, r)| u == node && round >= r)
-    }
-
-    /// Whether `node` is alive and not sleeping in `round`.
-    #[inline]
-    pub fn awake(&self, node: usize, round: u64) -> bool {
-        self.alive(node, round)
-            && !self
-                .sleep
-                .iter()
-                .any(|&(u, from, to)| u == node && (from..to).contains(&round))
-    }
-
     /// The stateless drop coin for delivery `(src → dst)` in `round`:
     /// `true` means the message is lost. Independent of call order and of
     /// every other RNG stream in the system.
@@ -300,13 +289,6 @@ impl FaultPlan {
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < self.drop_p
     }
-
-    /// Whether a transmission by a live, awake `src` in `round` reaches
-    /// `dst`: the receiver must be awake and the drop coin must pass.
-    #[inline]
-    pub fn delivers(&self, round: u64, src: usize, dst: usize) -> bool {
-        self.awake(dst, round) && !self.drop_coin(round, src, dst)
-    }
 }
 
 #[cfg(test)]
@@ -320,20 +302,6 @@ mod tests {
         assert!(!FaultPlan::none().drop_probability(0.01).is_noop());
         assert!(!FaultPlan::none().crash_at(0, 5).is_noop());
         assert!(!FaultPlan::none().sleep_between(0, 2, 4).is_noop());
-    }
-
-    #[test]
-    fn crash_and_sleep_schedules() {
-        let plan = FaultPlan::none().crash_at(3, 10).sleep_between(5, 2, 6);
-        assert!(plan.alive(3, 9));
-        assert!(!plan.alive(3, 10));
-        assert!(!plan.alive(3, 1000));
-        assert!(plan.awake(5, 1));
-        assert!(!plan.awake(5, 2));
-        assert!(!plan.awake(5, 5));
-        assert!(plan.awake(5, 6));
-        // Crashed implies not awake.
-        assert!(!plan.awake(3, 50));
     }
 
     #[test]

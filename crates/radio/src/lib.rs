@@ -12,7 +12,7 @@
 //! * a discrete-event executor for reactive per-node state machines
 //!   ([`SyncEngine`] / [`NodeProtocol`]).
 
-pub mod awake;
+pub mod availability;
 pub mod contention;
 pub mod energy;
 pub mod engine;
@@ -23,7 +23,7 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 
-pub use awake::{AwakeSchedule, AwakeStats};
+pub use availability::{Availability, AwakeStats};
 pub use contention::{ContentionConfig, ContentionOverflow};
 pub use energy::{EnergyLedger, Tally};
 pub use engine::{Ctx, Delivery, EngineError, NodeProtocol, RoundLimitExceeded, SyncEngine};

@@ -7,28 +7,24 @@
 //! shrank. A [`Membership`] makes the live set explicit: node ids stay
 //! *stable for the lifetime of the simulation* (a departed node keeps
 //! its id and position slot), while the membership tracks which ids are
-//! currently awake/alive, a dense live-index for arena-keyed state, and
-//! an epoch counter that advances once per maintenance step.
+//! currently live and an epoch counter that advances once per
+//! maintenance step.
 //!
 //! **Determinism contract.** A membership in which every id is live is
-//! a *no-op* and is elided by
-//! [`RadioNet::set_members`](crate::RadioNet::set_members) exactly like
-//! a no-op
-//! [`FaultPlan`](crate::FaultPlan): static-topology runs carry no
-//! membership at all and take byte-identical code paths, so ledgers,
-//! traces and golden fixtures are unchanged by this layer's existence.
+//! a *no-op*: [`RadioNet::set_members`](crate::RadioNet::set_members)
+//! departs nobody, so static-topology runs take byte-identical code
+//! paths and ledgers, traces and golden fixtures are unchanged by this
+//! layer's existence.
 //!
-//! Membership and fault injection are mutually exclusive on one network:
-//! a fault plan models *transient* loss on a fixed node set (nodes keep
-//! their array slots and may wake), while a membership models the
-//! *authoritative* live set across epochs. Composing both would give two
-//! owners for "is `u` participating this round". The fault plan's coin
-//! streams are keyed by node id, not array position, so they remain
-//! stable under churn by construction — a future composition only has to
-//! decide ownership of liveness, not re-key any randomness.
+//! A network takes its departures from the membership into the one
+//! availability timeline ([`crate::Availability`]), next to the fault
+//! plan's crashes and sleep windows and a low-awake protocol's scheduled
+//! sleep, so churn, faults and sleep compose on one network. The fault
+//! plan's coin streams are keyed by node id, not array position, so they
+//! stay stable under churn by construction.
 
-/// The live set of a long-running simulation: stable node ids, a dense
-/// live-id index, and an epoch counter.
+/// The live set of a long-running simulation: stable node ids, the live
+/// ids in ascending order, and an epoch counter.
 ///
 /// ```
 /// use emst_radio::Membership;
@@ -38,8 +34,6 @@
 /// m.advance_epoch();
 /// assert_eq!(m.epoch(), 1);
 /// assert_eq!(m.live_ids(), &[0, 1, 3]);
-/// assert_eq!(m.dense_index(3), Some(2));
-/// assert_eq!(m.dense_index(2), None);
 /// let joined = m.admit(4); // brand-new id grows the universe
 /// assert_eq!(joined, 4);
 /// assert_eq!(m.live_count(), 4);
@@ -53,13 +47,7 @@ pub struct Membership {
     /// Live ids in ascending order — the deterministic iteration order
     /// for every membership-aware stage.
     live: Vec<u32>,
-    /// Dense index of each live id in `live` (`u32::MAX` when dead), so
-    /// arena-keyed protocol state can be packed over live ids.
-    index: Vec<u32>,
 }
-
-/// Sentinel marking a dead id in the dense index.
-const DEAD: u32 = u32::MAX;
 
 impl Membership {
     /// A membership over ids `0..n`, all live, at epoch 0.
@@ -68,7 +56,6 @@ impl Membership {
             epoch: 0,
             alive: vec![true; n],
             live: (0..n as u32).collect(),
-            index: (0..n as u32).collect(),
         }
     }
 
@@ -108,16 +95,6 @@ impl Membership {
         &self.live
     }
 
-    /// Dense position of live id `u` in [`Membership::live_ids`]
-    /// (`None` when dead) — the key for live-packed arenas.
-    #[inline]
-    pub fn dense_index(&self, u: usize) -> Option<usize> {
-        match self.index.get(u).copied() {
-            Some(i) if i != DEAD => Some(i as usize),
-            _ => None,
-        }
-    }
-
     /// Whether every id in the universe is live — the no-op predicate
     /// under which the membership is elided from a network.
     pub fn is_all_live(&self) -> bool {
@@ -131,12 +108,8 @@ impl Membership {
             return;
         }
         self.alive[u] = false;
-        let pos = self.index[u] as usize;
+        let pos = self.live.partition_point(|&v| (v as usize) < u);
         self.live.remove(pos);
-        self.index[u] = DEAD;
-        for (i, &v) in self.live.iter().enumerate().skip(pos) {
-            self.index[v as usize] = i as u32;
-        }
     }
 
     /// Marks id `u` live, growing the universe when `u` is a brand-new id
@@ -145,7 +118,6 @@ impl Membership {
     pub fn admit(&mut self, u: usize) -> usize {
         if u >= self.alive.len() {
             self.alive.resize(u + 1, false);
-            self.index.resize(u + 1, DEAD);
         }
         if self.alive[u] {
             return u;
@@ -153,9 +125,6 @@ impl Membership {
         self.alive[u] = true;
         let pos = self.live.partition_point(|&v| (v as usize) < u);
         self.live.insert(pos, u as u32);
-        for (i, &v) in self.live.iter().enumerate().skip(pos) {
-            self.index[v as usize] = i as u32;
-        }
         u
     }
 }
@@ -173,25 +142,18 @@ mod tests {
         assert_eq!(m.epoch(), 0);
         for u in 0..5 {
             assert!(m.is_live(u));
-            assert_eq!(m.dense_index(u), Some(u));
         }
         assert!(!m.is_live(5), "ids beyond the universe are dead");
-        assert_eq!(m.dense_index(9), None);
     }
 
     #[test]
-    fn leave_reindexes_the_suffix() {
+    fn leave_removes_the_id() {
         let mut m = Membership::all_live(6);
         m.leave(1);
         m.leave(4);
         assert!(!m.is_all_live());
         assert_eq!(m.live_ids(), &[0, 2, 3, 5]);
-        assert_eq!(m.dense_index(0), Some(0));
-        assert_eq!(m.dense_index(2), Some(1));
-        assert_eq!(m.dense_index(3), Some(2));
-        assert_eq!(m.dense_index(5), Some(3));
-        assert_eq!(m.dense_index(1), None);
-        assert_eq!(m.dense_index(4), None);
+        assert!(!m.is_live(1) && !m.is_live(4) && m.is_live(5));
         m.leave(1); // idempotent
         assert_eq!(m.live_count(), 4);
     }
@@ -207,7 +169,6 @@ mod tests {
         assert_eq!(m.n(), 6);
         assert!(!m.is_all_live(), "id 3 and 4 were never admitted");
         assert_eq!(m.live_ids(), &[0, 1, 2, 5]);
-        assert_eq!(m.dense_index(5), Some(3));
         m.admit(5); // idempotent
         assert_eq!(m.live_count(), 4);
     }
@@ -222,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_round_trip_keeps_index_consistent() {
+    fn churn_round_trip_keeps_live_ids_consistent() {
         let mut m = Membership::all_live(8);
         for &u in &[0usize, 3, 7, 2] {
             m.leave(u);
@@ -234,9 +195,6 @@ mod tests {
             .filter(|&u| m.is_live(u as usize))
             .collect();
         assert_eq!(m.live_ids(), &live[..]);
-        for (i, &u) in m.live_ids().iter().enumerate() {
-            assert_eq!(m.dense_index(u as usize), Some(i));
-        }
         assert_eq!(m.live_count(), m.live_ids().len());
     }
 }

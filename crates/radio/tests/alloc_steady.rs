@@ -9,32 +9,42 @@
 //! allocator: run a message-heavy protocol for a warm-up window, arm the
 //! counter, run on, and require zero allocations.
 //!
-//! The counter is armed only around the measured `step()` calls and the
-//! protocol payload is `Copy`, so the only possible hits are the
-//! engine's own.
+//! The counter is armed only around the measured `step()` calls, and only
+//! on the test's own thread: the engine is single-threaded, while the test
+//! harness runs threads of its own whose allocations must not count. The
+//! protocol payload is `Copy`, so the only possible hits are the engine's
+//! own.
 
 use emst_geom::{uniform_points, Point};
 use emst_radio::{Ctx, Delivery, NodeProtocol, RadioNet, SyncEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread's allocations count. Const-initialised and
+    /// destructor-free, so reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation if the calling thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -101,11 +111,11 @@ fn engine_steady_state_allocates_nothing() {
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(true));
     for _ in 0..256 {
         assert!(engine.step(), "protocol terminated during measurement");
     }
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(false));
 
     let hits = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(

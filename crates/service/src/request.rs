@@ -314,14 +314,14 @@ impl TrialRequest {
                 .ok_or_else(|| bad("awake", "must be a boolean"))?,
         };
         let energy = decode_energy(doc.get("energy"))?;
-        let faults = decode_faults(doc.get("faults"))?;
+        let faults = decode_faults(doc.get("faults"), n)?;
         let dead = decode_dead(doc.get("dead"), n)?;
         let churn = decode_churn(doc.get("churn"))?;
 
-        // Cross-field rules. Pure `Sim` conflicts (faults + membership,
-        // contention pairings, missing radius) are left to
-        // `try_run_checked` so the service shares the library's taxonomy;
-        // these are the service-level combinations `Sim` cannot see.
+        // Cross-field rules. Pure `Sim` conflicts (contention pairings,
+        // missing radius) are left to `try_run_checked` so the service
+        // shares the library's taxonomy; these are the service-level
+        // combinations `Sim` cannot see.
         if !dead.is_empty() && !matches!(protocol, Protocol::Ghs(_)) {
             return Err(RequestError::Conflict(
                 "dead (membership) applies to GHS protocols only",
@@ -459,7 +459,9 @@ fn decode_energy(v: Option<&Json>) -> Result<EnergyConfig, RequestError> {
     }
 }
 
-fn decode_faults(v: Option<&Json>) -> Result<Option<FaultPlan>, RequestError> {
+/// Decodes the fault plan; every crash and sleep entry must name a node
+/// below `n`, and a sleep window must be non-empty.
+fn decode_faults(v: Option<&Json>, n: usize) -> Result<Option<FaultPlan>, RequestError> {
     let Some(v) = v else { return Ok(None) };
     check_fields(
         v,
@@ -497,9 +499,12 @@ fn decode_faults(v: Option<&Json>) -> Result<Option<FaultPlan>, RequestError> {
             let Some(pair) = entry.as_arr().filter(|p| p.len() == 2) else {
                 return Err(bad("faults.crashes", "each entry must be [node, round]"));
             };
-            let node = pair[0]
-                .as_u64()
-                .ok_or_else(|| bad("faults.crashes", "node must be an integer"))?;
+            let node = pair[0].as_u64().filter(|&u| u < n as u64).ok_or_else(|| {
+                bad(
+                    "faults.crashes",
+                    format!("node must be an integer below n={n}"),
+                )
+            })?;
             let round = pair[1]
                 .as_u64()
                 .ok_or_else(|| bad("faults.crashes", "round must be an integer"))?;
@@ -520,8 +525,11 @@ fn decode_faults(v: Option<&Json>) -> Result<Option<FaultPlan>, RequestError> {
                     .ok_or_else(|| bad("faults.sleeps", format!("{what} must be an integer")))
             };
             let (node, from, to) = (get(0, "node")?, get(1, "from")?, get(2, "to")?);
-            if from > to {
-                return Err(bad("faults.sleeps", "from must not exceed to"));
+            if node >= n as u64 {
+                return Err(bad("faults.sleeps", format!("node must be below n={n}")));
+            }
+            if from >= to {
+                return Err(bad("faults.sleeps", "from must be below to"));
             }
             plan = plan.sleep_between(node as usize, from, to);
         }

@@ -3,9 +3,9 @@
 //! work across concurrent clients and evict under pressure, and every
 //! invalid request shape must come back as a 400-class typed error.
 
-use emst_core::{GhsVariant, Instance, MaintainStrategy, Protocol, Sim};
+use emst_core::{GhsVariant, Instance, MaintainStrategy, Protocol, RunOutput, Sim};
 use emst_geom::BASE_SEED as SEED;
-use emst_radio::JsonlSink;
+use emst_radio::{FaultPlan, JsonlSink, Membership};
 use emst_service::json::Json;
 use emst_service::{serve, Client, Drain, ServiceConfig};
 use std::io::{Read, Write};
@@ -69,24 +69,9 @@ fn concurrent_same_key_requests_share_one_generation() {
     assert_eq!(cache_counter(&addr, "hits"), CLIENTS as u64 - 1);
 }
 
-#[test]
-fn served_ledger_is_bit_identical_to_direct_sim_run() {
-    let server = boot(4);
-    let addr = server.addr().to_string();
-    let (n, radius) = (150, 0.3);
-
-    let (status, doc) = post(
-        &addr,
-        &format!(r#"{{"protocol": "ghs_modified", "n": {n}, "seed": {SEED}, "radius": {radius}}}"#),
-    );
-    assert_eq!(status, 200);
-    assert_eq!(doc.get("outcome").and_then(Json::as_str), Some("complete"));
-
-    let instance = Instance::generate(SEED, n, 0);
-    let direct = Sim::new(instance.points())
-        .radius(radius)
-        .run(Protocol::Ghs(GhsVariant::Modified));
-
+/// Asserts a served result carries `direct`'s totals and per-kind
+/// ledger, bit for bit.
+fn assert_served_ledger(doc: &Json, direct: &RunOutput) {
     let field = |name: &str| doc.get(name).and_then(Json::as_u64).unwrap();
     assert_eq!(field("energy_bits"), direct.stats.energy.to_bits());
     assert_eq!(field("messages"), direct.stats.messages);
@@ -112,6 +97,47 @@ fn served_ledger_is_bit_identical_to_direct_sim_run() {
         kinds += 1;
     }
     assert_eq!(ledger.keys().unwrap().count(), kinds);
+}
+
+#[test]
+fn served_ledger_is_bit_identical_to_direct_sim_run() {
+    let server = boot(4);
+    let addr = server.addr().to_string();
+    let (n, radius) = (150, 0.3);
+
+    let (status, doc) = post(
+        &addr,
+        &format!(r#"{{"protocol": "ghs_modified", "n": {n}, "seed": {SEED}, "radius": {radius}}}"#),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(doc.get("outcome").and_then(Json::as_str), Some("complete"));
+
+    let instance = Instance::generate(SEED, n, 0);
+    let direct = Sim::new(instance.points())
+        .radius(radius)
+        .run(Protocol::Ghs(GhsVariant::Modified));
+    assert_served_ledger(&doc, &direct);
+
+    // Departures and a fault plan compose on one run.
+    let (status, doc) = post(
+        &addr,
+        &format!(
+            r#"{{"protocol": "ghs_modified", "n": {n}, "seed": {SEED}, "radius": {radius},
+                "dead": [1, 40], "faults": {{"drop": 0.1, "seed": 3}}}}"#
+        ),
+    );
+    assert_eq!(status, 200, "{doc:?}");
+    let mut members = Membership::all_live(n);
+    members.leave(1);
+    members.leave(40);
+    let direct = Sim::new(instance.points())
+        .radius(radius)
+        .members(members)
+        .with_faults(FaultPlan::none().drop_probability(0.1).seed(3))
+        .try_run(Protocol::Ghs(GhsVariant::Modified))
+        .into_output()
+        .expect("a lossy run finishes");
+    assert_served_ledger(&doc, &direct);
 }
 
 #[test]
@@ -251,14 +277,28 @@ fn invalid_request_shapes_get_typed_400_class_responses() {
             400,
             "conflict",
         ),
+        // Empty sleep windows and out-of-range fault nodes are bad
+        // fields, not parse panics.
+        (
+            r#"{"protocol": "ghs_modified", "n": 60, "radius": 0.4,
+                "faults": {"sleeps": [[0, 5, 5]]}}"#,
+            400,
+            "bad_field",
+        ),
+        (
+            r#"{"protocol": "ghs_modified", "n": 60, "radius": 0.4,
+                "faults": {"crashes": [[999999, 3]]}}"#,
+            400,
+            "bad_field",
+        ),
+        (
+            r#"{"protocol": "ghs_modified", "n": 60, "radius": 0.4,
+                "faults": {"sleeps": [[60, 1, 5]]}}"#,
+            400,
+            "bad_field",
+        ),
         // Config-level conflicts surface with the library's taxonomy.
         (r#"{"protocol": "ghs_modified", "n": 100}"#, 422, "config"),
-        (
-            r#"{"protocol": "ghs_modified", "n": 100, "radius": 0.3, "dead": [1],
-                "faults": {"drop": 0.1}}"#,
-            422,
-            "config",
-        ),
     ];
     for (body, want_status, want_code) in cases {
         let (status, doc) = post(&addr, body);
@@ -276,6 +316,21 @@ fn invalid_request_shapes_get_typed_400_class_responses() {
     assert_eq!(client.get("/run").unwrap().status, 405);
     assert_eq!(client.post("/stats", b"{}").unwrap().status, 405);
     assert_eq!(client.get("/healthz").unwrap().status, 200);
+
+    // Every rejected request released its connection: once the closed
+    // clients' handlers exit, only this probe is open.
+    let mut open = || {
+        let health = Json::parse(&client.get("/healthz").unwrap().text()).unwrap();
+        health
+            .get("connections")
+            .and_then(|c| c.get("open"))
+            .and_then(Json::as_u64)
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while open() != Some(1) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(open(), Some(1), "a rejected request leaked its connection");
 
     // All of the above counted as client errors, none as server errors.
     let stats = Json::parse(&client.get("/stats").unwrap().text()).unwrap();
@@ -369,7 +424,7 @@ fn faulty_and_repaired_runs_round_trip_the_outcome_lattice() {
 }
 
 #[test]
-fn awake_tracking_round_trips_rows_stats_and_conflicts() {
+fn awake_tracking_round_trips_rows_stats_and_faults() {
     let server = boot(4);
     let addr = server.addr().to_string();
 
@@ -435,14 +490,28 @@ fn awake_tracking_round_trips_rows_stats_and_conflicts() {
         .expect("awake.rounds_total");
     assert!(total > 0);
 
-    // Awake tracking with an effective fault plan is a 422 config error.
-    let (status, err) = post(
+    // Awake tracking composes with an effective fault plan.
+    let (status, doc) = post(
         &addr,
-        r#"{"protocol": "ghs_modified", "n": 120, "radius": 0.3, "awake": true,
-            "faults": {"drop": 0.1, "seed": 3}}"#,
+        &format!(
+            r#"{{"protocol": "ghs_modified", "n": 120, "seed": {SEED}, "radius": 0.3, "awake": true,
+                "faults": {{"drop": 0.1, "seed": 3}}}}"#
+        ),
     );
-    assert_eq!(status, 422);
-    assert_eq!(err.get("code").and_then(Json::as_str), Some("config"));
+    assert_eq!(status, 200, "{doc:?}");
+    let direct = Sim::new(instance.points())
+        .radius(0.3)
+        .awake(true)
+        .with_faults(FaultPlan::none().drop_probability(0.1).seed(3))
+        .try_run(Protocol::Ghs(GhsVariant::Modified))
+        .into_output()
+        .expect("a lossy run finishes");
+    assert_served_ledger(&doc, &direct);
+    let awake = direct.awake().expect("tracked run reports awake");
+    assert_eq!(
+        doc.get("awake_rounds").and_then(Json::as_u64),
+        Some(awake.total)
+    );
 }
 
 /// Asserts the /stats request counters conserve: total == 2xx + 4xx + 5xx.

@@ -12,9 +12,9 @@
 //!   tracking may add stage-mark telemetry, never perturb charging;
 //! * per-stage awake marks telescope to the run total, exactly like
 //!   energy/messages/rounds;
-//! * awake tracking composes with membership (dead nodes accrue no awake
-//!   rounds) and is rejected with a typed error when combined with fault
-//!   injection (`FaultPlan` owns adversarial sleep windows);
+//! * awake tracking composes with membership (departed nodes accrue no
+//!   awake rounds) and with fault injection, on one availability
+//!   timeline;
 //! * `ghs_lowawake` builds the same forest as `ghs_modified` in the same
 //!   rounds and messages, with a strictly lower max-per-node awake count.
 
@@ -204,29 +204,19 @@ fn tracked_extended_energy_is_bit_identical_to_untracked() {
     assert_eq!(awake.max_per_node, tracked.stats.rounds);
 }
 
-/// Combining awake tracking with fault injection is a typed config error
-/// (`FaultPlan` owns adversarial sleep schedules; the two layers would
-/// fight over who is asleep). A *no-op* plan is elided and fine.
+/// Awake tracking composes with fault injection: the availability
+/// timeline holds the adversary's sleep windows next to the scheduled
+/// ones, so neither explicit tracking nor the low-awake variant (which
+/// implies it) is refused under a plan. A *no-op* plan is elided.
 #[test]
-fn awake_with_faults_is_a_typed_conflict() {
+fn awake_with_faults_is_legal_and_noop_plans_elide() {
     let pts = instance(SEEDS[0]);
     let protocol = Protocol::Ghs(GhsVariant::Modified);
-    let effective = Sim::new(&pts)
-        .radius(0.5)
-        .awake(true)
-        .with_faults(FaultPlan::none().drop_probability(0.05));
-    assert!(matches!(
-        effective.check(protocol),
-        Err(ConfigError::AwakeWithFaults)
-    ));
-    // The low-awake variant implies tracking, so it conflicts too.
-    let implied = Sim::new(&pts)
-        .radius(0.5)
-        .with_faults(FaultPlan::none().drop_probability(0.05));
-    assert!(matches!(
-        implied.check(Protocol::Ghs(GhsVariant::LowAwake)),
-        Err(ConfigError::AwakeWithFaults)
-    ));
+    let plan = || FaultPlan::none().drop_probability(0.05);
+    let explicit = Sim::new(&pts).radius(0.5).awake(true).with_faults(plan());
+    assert_eq!(explicit.check(protocol), Ok(()));
+    let implied = Sim::new(&pts).radius(0.5).with_faults(plan());
+    assert_eq!(implied.check(Protocol::Ghs(GhsVariant::LowAwake)), Ok(()));
     // A no-op plan elides to nothing and composes with tracking.
     let noop = Sim::new(&pts)
         .radius(0.5)

@@ -17,7 +17,9 @@ use energy_mst::analysis::set_thread_override;
 use energy_mst::core::{GhsVariant, RankScheme};
 use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, PathLoss, Point};
 use energy_mst::radio::{EnergyConfig, EnergyLedger};
-use energy_mst::{FaultPlan, JsonlSink, MetricsSink, Protocol, RepairPolicy, RunOutcome, Sim};
+use energy_mst::{
+    FaultPlan, JsonlSink, Membership, MetricsSink, Protocol, RepairPolicy, RunOutcome, Sim,
+};
 
 fn instance(n: usize) -> Vec<Point> {
     uniform_points(n, &mut trial_rng(0x00FA_0170, 0))
@@ -70,15 +72,23 @@ fn noop_plan_is_bit_identical_to_no_plan() {
     }
 }
 
-/// Cross-check of the original GHS variant's two row sources. A clean run
-/// scans the topology's shared sorted rows with one reject bit per entry;
-/// a run under an effective plan keeps private rows (faulty tables can be
-/// asymmetric). Crashing the last node at a round no run reaches is such a
-/// plan that never fires, so the private-row path serves as the reference
-/// with no test-only switch: outcome, tree, ledger bits and every trace
-/// line must agree.
+/// Cross-check of the tree builders' clean and faulty paths. A clean run
+/// scans the topology's shared sorted rows (or, with departures, private
+/// departure-filtered rows); a run under an effective plan keeps private
+/// rows from its own hello round (faulty tables can be asymmetric).
+/// Crashing the last node at a round no run reaches is such a plan that
+/// never fires, so the faulty path serves as the reference with no
+/// test-only switch: outcome, tree, ledger bits, awake read-outs and
+/// every non-stage trace line must agree, with and without departures
+/// and for the low-awake variant, whose sleep windows compose with it.
 #[test]
 fn never_firing_plan_matches_the_clean_shared_row_scan() {
+    let protocols = [
+        ("ghs_original", Protocol::Ghs(GhsVariant::Original)),
+        ("ghs_modified", Protocol::Ghs(GhsVariant::Modified)),
+        ("ghs_lowawake", Protocol::Ghs(GhsVariant::LowAwake)),
+        ("eopt", Protocol::Eopt(Default::default())),
+    ];
     let models = [
         ("paper", EnergyConfig::paper()),
         (
@@ -89,10 +99,23 @@ fn never_firing_plan_matches_the_clean_shared_row_scan() {
     for n in [60, 200, 2000] {
         let never_firing = FaultPlan::none().crash_at(n - 1, u64::MAX / 2);
         assert!(!never_firing.is_noop());
+        let mut departed = Membership::all_live(n);
+        for u in (3..n).step_by(7) {
+            departed.leave(u);
+        }
+        let cases = protocols
+            .iter()
+            .flat_map(|&p| [(p, None), (p, Some(&departed))]);
         for seed in 0..3 {
             let pts = uniform_points(n, &mut trial_rng(0x0E16_0000 + seed, 0));
-            for (model, energy) in models {
-                let ctx = format!("n={n} seed={seed} {model}");
+            for (((name, protocol), members), (model, energy)) in cases
+                .clone()
+                .flat_map(|case| models.map(|model| (case, model)))
+            {
+                let ctx = format!(
+                    "{name} n={n} seed={seed} {model} departed={}",
+                    members.is_some()
+                );
                 let capture = |plan: Option<&FaultPlan>| {
                     let mut sink = JsonlSink::new(Vec::new());
                     let mut s = sim(&pts, Some(paper_phase2_radius(n)))
@@ -101,7 +124,10 @@ fn never_firing_plan_matches_the_clean_shared_row_scan() {
                     if let Some(plan) = plan {
                         s = s.with_faults(plan.clone());
                     }
-                    let outcome = s.try_run(Protocol::Ghs(GhsVariant::Original));
+                    if let Some(members) = members {
+                        s = s.members(members.clone());
+                    }
+                    let outcome = s.try_run(protocol);
                     assert!(outcome.faults().is_clean(), "{ctx}: the plan fired");
                     let complete = outcome.is_complete();
                     let out = outcome.into_output().expect("non-failed outcome");
@@ -121,6 +147,7 @@ fn never_firing_plan_matches_the_clean_shared_row_scan() {
                 assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{ctx}: energy");
                 assert_eq!(a.messages, b.messages, "{ctx}: messages");
                 assert_eq!(a.rounds, b.rounds, "{ctx}: rounds");
+                assert_eq!(a.awake, b.awake, "{ctx}: awake");
                 let bits = |l: &EnergyLedger| {
                     let kinds: Vec<_> = l
                         .kinds()
@@ -130,13 +157,19 @@ fn never_firing_plan_matches_the_clean_shared_row_scan() {
                     (kinds, l.rx_count(), extended.map(f64::to_bits))
                 };
                 assert_eq!(bits(&a.ledger), bits(&b.ledger), "{ctx}: ledger");
-                assert!(a.ledger.kind("ghs/test").messages > 0, "{ctx}: no tests");
-                assert_eq!(
-                    clean_trace.lines().count(),
-                    ref_trace.lines().count(),
-                    "{ctx}: trace length"
-                );
-                for (i, (x, y)) in clean_trace.lines().zip(ref_trace.lines()).enumerate() {
+                if name == "ghs_original" {
+                    assert!(a.ledger.kind("ghs/test").messages > 0, "{ctx}: no tests");
+                }
+                let events = |trace: &str| -> Vec<String> {
+                    trace
+                        .lines()
+                        .filter(|l| !l.starts_with("{\"t\":\"stage\""))
+                        .map(str::to_owned)
+                        .collect()
+                };
+                let (x, y) = (events(&clean_trace), events(&ref_trace));
+                assert_eq!(x.len(), y.len(), "{ctx}: trace length");
+                for (i, (x, y)) in x.iter().zip(&y).enumerate() {
                     assert_eq!(x, y, "{ctx}: trace line {}", i + 1);
                 }
             }
