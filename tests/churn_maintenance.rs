@@ -185,6 +185,128 @@ fn fixed_membership_reproduces_the_golden_fixture() {
     }
 }
 
+/// The timeline of the maintenance-ledger fixture: ten epochs over an
+/// n-node instance, each mixing a crash (every third epoch), two sleeps,
+/// a wake, two moves and a join (every other epoch), with ids and
+/// positions drawn from `trial_rng(seed, 1)` under the liveness
+/// bookkeeping of [`build_timeline`].
+fn fixture_timeline(n: usize, seed: u64) -> ChurnTimeline {
+    use rand::Rng;
+    const EPOCHS: usize = 10;
+    let mut rng = trial_rng(seed, 1);
+    let mut tl = ChurnTimeline::new(EPOCHS);
+    let mut alive: Vec<usize> = (0..n).collect();
+    let mut sleeping: Vec<usize> = Vec::new();
+    let mut universe = n;
+    for e in 0..EPOCHS {
+        if e % 3 == 0 {
+            tl = tl.crash(e, alive.swap_remove(rng.gen_range(0..alive.len())));
+        }
+        for _ in 0..2 {
+            let u = alive.swap_remove(rng.gen_range(0..alive.len()));
+            sleeping.push(u);
+            tl = tl.sleep(e, u);
+        }
+        if e > 0 {
+            let u = sleeping.swap_remove(rng.gen_range(0..sleeping.len()));
+            alive.push(u);
+            tl = tl.wake(e, u);
+        }
+        for _ in 0..2 {
+            let u = alive[rng.gen_range(0..alive.len())];
+            tl = tl.move_to(e, u, rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+        }
+        if e % 2 == 0 {
+            tl = tl.join(e, rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+            alive.push(universe);
+            universe += 1;
+        }
+    }
+    tl
+}
+
+/// Renders one maintained timeline into the fixture text: the bootstrap
+/// ledger, one line per epoch (energy bits, messages, rounds, forest
+/// edges added and removed, fragments), then the final forest.
+fn render_maintenance(n: usize, seed: u64, strategy: MaintainStrategy) -> String {
+    use std::fmt::Write as _;
+    let pts = uniform_points(n, &mut trial_rng(seed, 0));
+    let r = paper_phase2_radius(n);
+    let rep = maintain(&pts, r, &fixture_timeline(n, seed), strategy);
+    let mut s = String::new();
+    writeln!(s, "RUN {} seed={seed:x} n={n}", strategy.name()).unwrap();
+    writeln!(
+        s,
+        "BOOTSTRAP energy={:016x} messages={} rounds={}",
+        rep.bootstrap_energy.to_bits(),
+        rep.bootstrap_messages,
+        rep.bootstrap_rounds
+    )
+    .unwrap();
+    for e in &rep.epochs {
+        assert!(
+            e.ledger_conserved && e.forest_valid,
+            "{} seed {seed:x}: epoch {} broke an invariant",
+            strategy.name(),
+            e.epoch
+        );
+        writeln!(
+            s,
+            "EPOCH {} live={} arrivals={} departures={} energy={:016x} messages={} \
+             rounds={} added={} removed={} fragments={}",
+            e.epoch,
+            e.live,
+            e.arrivals,
+            e.departures,
+            e.energy.to_bits(),
+            e.messages,
+            e.rounds,
+            e.edges_added,
+            e.edges_removed,
+            e.fragments
+        )
+        .unwrap();
+    }
+    let mut edges: Vec<_> = rep
+        .forest
+        .iter()
+        .map(|e| (e.u.min(e.v), e.u.max(e.v), e.w))
+        .collect();
+    edges.sort_by_key(|e| (e.0, e.1));
+    writeln!(s, "FOREST {}", edges.len()).unwrap();
+    for (u, v, w) in edges {
+        writeln!(s, "{u} {v} {:016x}", w.to_bits()).unwrap();
+    }
+    s
+}
+
+/// Pins the per-epoch ledgers of both maintenance strategies bitwise: two
+/// seeds at n = 300, ten epochs of joins, moves, sleeps, wakes and
+/// crashes each, and the final forest. Regenerate (only when
+/// intentionally changing maintenance behaviour) with
+/// `GOLDEN_BLESS=1 cargo test --test churn_maintenance`.
+#[test]
+fn maintenance_ledgers_reproduce_their_fixture() {
+    const N: usize = 300;
+    let mut got = String::new();
+    for strategy in [MaintainStrategy::Incremental, MaintainStrategy::Recompute] {
+        for seed in [0xA11CE, 0xB0B5] {
+            got.push_str(&render_maintenance(N, seed, strategy));
+        }
+    }
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/maintain_ledgers.txt");
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        std::fs::write(&path, &got).expect("fixture written");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("maintenance fixture present");
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "maintenance fixture diverged at line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "line count");
+}
+
 /// Yields the fixture lines starting at the TREE section's count.
 fn lines_after_tree_header(fixture: &str) -> impl Iterator<Item = &str> {
     let mut lines = fixture.lines();
