@@ -89,8 +89,18 @@ pub(crate) fn drive_flood(
     // A flood starved by losses still yields a (possibly disagreeing)
     // per-node view: tolerate the round-limit overrun under faults.
     let nodes = env.run_nodes_tolerant("elect", "flood", nodes, budget)?;
-    let leader = nodes.iter().map(|e| e.best).max().unwrap_or(0);
-    let agreed = nodes.iter().all(|e| e.best == leader);
+    // Departed nodes never run and keep their own id as `best`: the leader
+    // and the agreement are taken over the present nodes only.
+    let net = env.net();
+    let present = || {
+        nodes
+            .iter()
+            .enumerate()
+            .filter(|&(u, _)| !net.departed(u))
+            .map(|(_, e)| e.best)
+    };
+    let leader = present().max().unwrap_or(0);
+    let agreed = present().all(|best| best == leader);
     Ok(ElectionRun {
         tree: SpanningTree::new(n, Vec::new()),
         leader,
@@ -146,8 +156,10 @@ pub(crate) fn drive_tree(
         net.advance_rounds(2 * tree.depth_from(0) as u64);
         leader
     });
-    // Agreement holds for every node the tree reaches.
-    let agreed = bfs.reached == n;
+    // Agreement holds for every node the tree reaches; departed nodes
+    // never join it.
+    let present = (0..n).filter(|&u| !env.net().departed(u)).count();
+    let agreed = bfs.reached == present;
     Ok(ElectionRun {
         tree,
         leader,
@@ -159,7 +171,7 @@ pub(crate) fn drive_tree(
 mod tests {
     use crate::{ElectionDetail, Protocol, RunOutput, Sim};
     use emst_geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
-    use emst_radio::FaultPlan;
+    use emst_radio::{FaultPlan, Membership};
 
     fn flood(pts: &[Point], r: f64) -> RunOutput {
         Sim::new(pts).radius(r).run(Protocol::ElectionFlood)
@@ -226,6 +238,24 @@ mod tests {
         let t = tree(&pts, 0.1);
         assert!(!election(&t).agreed);
         assert_eq!(election(&t).leader, 1, "root component max id");
+    }
+
+    #[test]
+    fn departed_nodes_neither_lead_nor_block_agreement() {
+        let n = 200;
+        let pts = uniform_points(n, &mut trial_rng(1001, 0));
+        let mut members = Membership::all_live(n);
+        members.leave(199);
+        members.leave(17);
+        for protocol in [Protocol::ElectionFlood, Protocol::ElectionTree] {
+            let out = Sim::new(&pts)
+                .radius(paper_phase2_radius(n))
+                .members(members.clone())
+                .run(protocol);
+            let detail = election(&out);
+            assert_eq!(detail.leader, 198, "{protocol:?}");
+            assert!(detail.agreed, "{protocol:?}");
+        }
     }
 
     #[test]

@@ -604,26 +604,24 @@ impl MaintainSession {
                     for &a in &arrivals {
                         members.admit(a);
                     }
-                    let m = members.clone();
+                    let members: &Membership = members;
                     let old_forest = std::mem::take(forest);
-                    let arrivals_ref = &arrivals;
-                    let old_ref = &old_forest;
                     let ((adopted, evicted), stats, ok) =
                         run_step(points, radius, members, |env| {
                             env.stage(kinds.scope, "arrivals", |net| {
-                                net.cache_topology(radius);
-                                let topo = net.topology_handle().expect("cached above");
-                                for &a in arrivals_ref {
+                                for &a in &arrivals {
                                     net.local_broadcast_silent(a, radius, kinds.hello);
                                 }
-                                for &a in arrivals_ref {
-                                    for (v, _) in topo.neighbors(a).filter(|&(v, _)| m.is_live(v)) {
+                                // Each arrival's row is one grid query, in
+                                // the order a cached topology row has, so
+                                // the replies are charged in that order.
+                                let mut cand = old_forest.clone();
+                                let mut row = Vec::new();
+                                for &a in &arrivals {
+                                    net.neighbors_into(a, radius, &mut row);
+                                    for &(v, d) in row.iter().filter(|&&(v, _)| members.is_live(v))
+                                    {
                                         net.unicast(v, a, kinds.hello);
-                                    }
-                                }
-                                let mut cand = old_ref.clone();
-                                for &a in arrivals_ref {
-                                    for (v, d) in topo.neighbors(a).filter(|&(v, _)| m.is_live(v)) {
                                         cand.push(Edge::new(a, v, d));
                                     }
                                 }
@@ -635,7 +633,7 @@ impl MaintainSession {
                                         adopted.push(*e);
                                     }
                                 }
-                                let is_arrival = |u: usize| arrivals_ref.binary_search(&u).is_ok();
+                                let is_arrival = |u: usize| arrivals.binary_search(&u).is_ok();
                                 for e in &adopted {
                                     if is_arrival(e.u as usize) || is_arrival(e.v as usize) {
                                         net.exchange(e.u as usize, e.v as usize, kinds.connect);
@@ -645,7 +643,7 @@ impl MaintainSession {
                                     adopted.iter().map(|e| (e.u, e.v)).collect();
                                 kept.sort_unstable();
                                 let mut evicted = 0usize;
-                                for e in old_ref {
+                                for e in &old_forest {
                                     if kept.binary_search(&(e.u, e.v)).is_err() {
                                         net.unicast(e.u as usize, e.v as usize, TEARDOWN);
                                         evicted += 1;
