@@ -7,7 +7,9 @@
 //!
 //! Default mode generates `--plans` seeded random fault plans
 //! ([`emst_bench::random_plan`]), checks every reliability invariant on
-//! each ([`emst_bench::violations`]) against modified GHS and EOPT, and
+//! each ([`emst_bench::violations`]) against every tree builder
+//! ([`emst_bench::CHAOS_PROTOCOLS`]: the original, modified and low-awake
+//! GHS variants and EOPT), and
 //! exits non-zero if any violation survives — printing the shrunk plan
 //! as a copy-pastable `FaultPlan` constructor so the failure can be
 //! replayed in a unit test verbatim.
@@ -25,7 +27,7 @@
 //! CI runs it twice and diffs the output to pin the shrinker's
 //! determinism.
 
-use emst_bench::{run_chaos, run_churn_chaos, shrink};
+use emst_bench::{run_chaos, run_churn_chaos, shrink, CHAOS_PROTOCOLS};
 use emst_radio::FaultPlan;
 
 struct ChaosOptions {
@@ -129,9 +131,13 @@ fn main() {
         }
         return;
     }
+    let names: Vec<&str> = CHAOS_PROTOCOLS.iter().map(|p| p.name()).collect();
     eprintln!(
-        "chaos: {} plans, n={}, seed={:#x}, protocols=[ghs_modified, eopt]",
-        opts.plans, opts.n, opts.seed
+        "chaos: {} plans, n={}, seed={:#x}, protocols=[{}]",
+        opts.plans,
+        opts.n,
+        opts.seed,
+        names.join(", ")
     );
     let report = run_chaos(opts.seed, opts.plans, opts.n);
     for v in &report.violations {
@@ -143,8 +149,9 @@ fn main() {
         println!("  minimized: {}", v.minimized.to_source());
     }
     println!(
-        "chaos: {} plans x 2 protocols, {} violations",
+        "chaos: {} plans x {} protocols, {} violations",
         report.plans,
+        CHAOS_PROTOCOLS.len(),
         report.violations.len()
     );
     if !report.violations.is_empty() {

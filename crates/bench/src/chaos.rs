@@ -25,7 +25,8 @@
 
 use crate::runner::instance;
 use emst_core::{
-    maintain, ChurnTimeline, GhsVariant, MaintainStrategy, Protocol, RepairPolicy, RunOutcome, Sim,
+    maintain, ChurnTimeline, EoptConfig, GhsVariant, MaintainStrategy, Protocol, RepairPolicy,
+    RunOutcome, Sim,
 };
 use emst_geom::{mix_seed, paper_phase2_radius, trial_rng, Point};
 use emst_graph::disk_msf;
@@ -282,15 +283,24 @@ pub struct ChaosViolation {
 
 /// Read-out of a whole chaos run.
 pub struct ChaosReport {
-    /// Plans exercised (each against both tree builders).
+    /// Plans exercised (each against every tree builder).
     pub plans: u64,
     /// Every invariant violation, already minimized.
     pub violations: Vec<ChaosViolation>,
 }
 
+/// The tree builders every chaos plan is checked against.
+pub const CHAOS_PROTOCOLS: [Protocol; 4] = [
+    Protocol::Ghs(GhsVariant::Original),
+    Protocol::Ghs(GhsVariant::Modified),
+    Protocol::Ghs(GhsVariant::LowAwake),
+    Protocol::Eopt(EoptConfig::PAPER),
+];
+
 /// Runs the chaos loop: `plans` random plans over `(seed, index)`-seeded
-/// `n`-node instances, each checked against modified GHS and EOPT with
-/// repair enabled. Violations are shrunk before being reported.
+/// `n`-node instances, each checked against every tree builder
+/// ([`CHAOS_PROTOCOLS`]) with repair enabled. Violations are shrunk
+/// before being reported.
 pub fn run_chaos(seed: u64, plans: u64, n: usize) -> ChaosReport {
     let mut report = ChaosReport {
         plans,
@@ -299,10 +309,7 @@ pub fn run_chaos(seed: u64, plans: u64, n: usize) -> ChaosReport {
     for index in 0..plans {
         let pts = instance(seed, n, index);
         let plan = random_plan(seed, index, n);
-        for protocol in [
-            Protocol::Ghs(GhsVariant::Modified),
-            Protocol::Eopt(Default::default()),
-        ] {
+        for protocol in CHAOS_PROTOCOLS {
             let messages = violations(&pts, protocol, &plan);
             if !messages.is_empty() {
                 let fails = |p: &FaultPlan| !violations(&pts, protocol, p).is_empty();

@@ -18,7 +18,7 @@ pub mod runner;
 pub use chaos::{
     churn_violations, random_plan, random_timeline, rate_timeline, run_chaos, run_churn_chaos,
     shrink, shrink_timeline, violations, ChaosReport, ChaosViolation, ChurnChaosReport,
-    ChurnViolation,
+    ChurnViolation, CHAOS_PROTOCOLS,
 };
 pub use cli::Options;
 pub use fanout::{apply_thread_override, run_sweep, run_sweep_multi, run_trials};
