@@ -61,40 +61,65 @@ impl CacheStats {
     }
 }
 
-/// The bounded, most-recently-used-first store behind [`Instance`]'s
-/// topology memoisation. Entries are keyed by `(grid radius, row radius)`
-/// bits and kept in recency order: a hit moves its entry to the front, an
-/// insert beyond capacity evicts the back (the least recently used key).
-#[derive(Default)]
-struct TopoCache {
-    entries: Vec<(u64, u64, Arc<Topology>)>,
+/// The bounded, most-recently-used-first store behind both caches of this
+/// module, with their lifetime counters. Entries are kept in recency
+/// order: a hit moves its entry to the front, an insert beyond capacity
+/// evicts the back (the least recently used key).
+struct Lru<K, V> {
+    capacity: usize,
+    entries: Vec<(K, V)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl TopoCache {
-    /// The entry for `key`, moved to the front; counts a hit.
-    fn hit(&mut self, key: (u64, u64)) -> Option<Arc<Topology>> {
-        let at = self.entries.iter().position(|(g, r, _)| (*g, *r) == key)?;
+impl<K: PartialEq, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            capacity,
+            entries: Vec::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// The value for `key`, moved to the front; counts a hit.
+    fn hit(&mut self, key: &K) -> Option<V> {
+        let at = self.entries.iter().position(|(k, _)| k == key)?;
         self.hits += 1;
         let entry = self.entries.remove(at);
-        let t = entry.2.clone();
+        let value = entry.1.clone();
         self.entries.insert(0, entry);
-        Some(t)
+        Some(value)
     }
 
     /// Inserts a fresh entry at the front, evicting the least recently
     /// used one beyond capacity; counts a miss.
-    fn insert(&mut self, key: (u64, u64), t: Arc<Topology>) {
+    fn insert(&mut self, key: K, value: V) {
         self.misses += 1;
-        self.entries.insert(0, (key.0, key.1, t));
-        if self.entries.len() > TOPOLOGY_CACHE_CAPACITY {
+        self.entries.insert(0, (key, value));
+        if self.entries.len() > self.capacity {
             self.entries.pop();
             self.evictions += 1;
         }
     }
+
+    /// Lifetime counters plus current occupancy.
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            len: self.entries.len(),
+            capacity: self.capacity,
+        }
+    }
 }
+
+/// [`Instance`]'s topology memoisation, keyed by `(grid radius, row
+/// radius)` bits.
+type TopoCache = Lru<(u64, u64), Arc<Topology>>;
 
 /// A point set plus memoised topology builds, shared across runs.
 ///
@@ -117,7 +142,7 @@ impl Instance {
     pub fn new(points: Vec<Point>) -> Self {
         Instance {
             points,
-            topos: Mutex::new(TopoCache::default()),
+            topos: Mutex::new(Lru::new(TOPOLOGY_CACHE_CAPACITY)),
         }
     }
 
@@ -202,7 +227,7 @@ impl Instance {
     /// [`Instance::topology_with_grid`] under the held cache lock.
     fn cached(&self, cache: &mut TopoCache, grid_radius: f64, radius: f64) -> Arc<Topology> {
         let key = (grid_radius.to_bits(), radius.to_bits());
-        if let Some(t) = cache.hit(key) {
+        if let Some(t) = cache.hit(&key) {
             return t;
         }
         let t = if radius < grid_radius {
@@ -219,14 +244,7 @@ impl Instance {
     /// Lifetime hit/miss/eviction counters of this instance's topology
     /// cache.
     pub fn topology_cache_stats(&self) -> CacheStats {
-        let cache = self.topos.lock().expect("instance cache poisoned");
-        CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-            len: cache.entries.len(),
-            capacity: TOPOLOGY_CACHE_CAPACITY,
-        }
+        self.topos.lock().expect("instance cache poisoned").stats()
     }
 }
 
@@ -270,31 +288,20 @@ impl InstanceKey {
 /// (and, via [`Instance`]'s own lock, one topology build), so the hit
 /// counter reads `N − 1`.
 pub struct InstanceCache {
-    capacity: usize,
-    inner: Mutex<InstanceCacheInner>,
-}
-
-#[derive(Default)]
-struct InstanceCacheInner {
-    /// Most-recently-used first.
-    entries: Vec<(InstanceKey, Arc<Instance>)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    inner: Mutex<Lru<InstanceKey, Arc<Instance>>>,
 }
 
 impl InstanceCache {
     /// Creates a cache bounded to `capacity` entries (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         InstanceCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(InstanceCacheInner::default()),
+            inner: Mutex::new(Lru::new(capacity.max(1))),
         }
     }
 
     /// The capacity bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.stats().capacity
     }
 
     /// The shared instance for `key`, generating (and possibly evicting
@@ -302,33 +309,17 @@ impl InstanceCache {
     /// instance and whether it was served from memory.
     pub fn get_or_generate(&self, key: InstanceKey) -> (Arc<Instance>, bool) {
         let mut inner = self.inner.lock().expect("instance cache poisoned");
-        if let Some(at) = inner.entries.iter().position(|(k, _)| *k == key) {
-            inner.hits += 1;
-            let entry = inner.entries.remove(at);
-            let inst = entry.1.clone();
-            inner.entries.insert(0, entry);
+        if let Some(inst) = inner.hit(&key) {
             return (inst, true);
         }
-        inner.misses += 1;
         let inst = Arc::new(Instance::generate(key.seed, key.n, key.trial));
-        inner.entries.insert(0, (key, inst.clone()));
-        if inner.entries.len() > self.capacity {
-            inner.entries.pop();
-            inner.evictions += 1;
-        }
+        inner.insert(key, inst.clone());
         (inst, false)
     }
 
     /// Lifetime hit/miss/eviction counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("instance cache poisoned");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.entries.len(),
-            capacity: self.capacity,
-        }
+        self.inner.lock().expect("instance cache poisoned").stats()
     }
 }
 
