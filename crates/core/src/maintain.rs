@@ -51,10 +51,10 @@
 //!
 //! ## Accounting
 //!
-//! Every epoch runs against a fresh [`MetricsSink`]-backed
-//! [`ExecEnv`], and each [`EpochReport`] records whether the sink
-//! reproduced the epoch's ledger *bitwise* (`ledger_conserved`) — the
-//! chaos harness turns any mismatch into a violation. The headline
+//! Every epoch runs against a fresh [`ExecEnv`] with a [`Tally`] sink,
+//! and each [`EpochReport`] records whether the sink reproduced the
+//! epoch's ledger *bitwise* (`ledger_conserved`) — the chaos harness
+//! turns any mismatch into a violation. The headline
 //! metric is [`MaintainReport::energy_per_maintained_round`].
 
 use crate::exec::ExecEnv;
@@ -62,7 +62,7 @@ use crate::ghs::{GhsEngine, GhsKinds, GhsVariant};
 use crate::repair::survivor_fragments;
 use emst_geom::Point;
 use emst_graph::{Edge, SpanningTree, UnionFind};
-use emst_radio::{EnergyConfig, Membership, MetricsSink, RunStats};
+use emst_radio::{EnergyConfig, Membership, RunStats, Tally};
 
 /// Message kind for dismantling an evicted tree edge (one unicast per
 /// eviction, charged under the `maintain` scope like every other
@@ -311,16 +311,16 @@ impl MaintainReport {
     }
 }
 
-/// Runs `f` against a fresh metrics-sinked environment restricted to
-/// `members`, returning its output, the run stats and whether the sink
-/// reproduced the ledger bitwise (energy) and exactly (messages).
+/// Runs `f` against a fresh environment restricted to `members` with a
+/// [`Tally`] sink, returning its output, the run stats and whether the
+/// sink reproduced the ledger bitwise (energy) and exactly (messages).
 fn run_step<R>(
     points: &[Point],
     radius: f64,
     members: &Membership,
     f: impl FnOnce(&mut ExecEnv<'_>) -> R,
 ) -> (R, RunStats, bool) {
-    let mut sink = MetricsSink::new();
+    let mut sink = Tally::default();
     let mut env = ExecEnv::new(
         points,
         radius,
@@ -332,8 +332,8 @@ fn run_step<R>(
     env.set_members(members);
     let out = f(&mut env);
     let (stats, _marks) = env.finish();
-    let conserved = sink.total_energy().to_bits() == stats.energy.to_bits()
-        && sink.total_messages() == stats.messages;
+    let conserved =
+        sink.energy.to_bits() == stats.energy.to_bits() && sink.messages == stats.messages;
     (out, stats, conserved)
 }
 

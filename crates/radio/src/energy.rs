@@ -18,7 +18,7 @@ pub struct Tally {
 }
 
 impl Tally {
-    fn add(&mut self, energy: f64) {
+    pub(crate) fn add(&mut self, energy: f64) {
         self.messages += 1;
         self.energy += energy;
     }

@@ -14,6 +14,9 @@
 //! * [`NullSink`] — does nothing. The default is better still: a network
 //!   without a sink attached skips event construction entirely, so
 //!   untraced runs pay nothing.
+//! * [`Tally`] — the run's message and energy totals alone, summed in
+//!   event order: what a ledger-conservation check reads, at the cost of
+//!   one addition per message.
 //! * [`MetricsSink`] — in-memory aggregation: per-round × per-kind and
 //!   per-phase energy/message tallies, per-node transmit budgets, and the
 //!   maximum-power watermark. Its running totals reproduce
@@ -226,6 +229,20 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     #[inline]
     fn record(&mut self, _event: &TraceEvent) {}
+}
+
+/// Counts [`TraceEvent::Message`] events and sums their energy in event
+/// order, which is charge order, so the totals equal
+/// [`RunStats`](crate::RunStats)'s bit-for-bit, as
+/// [`MetricsSink::total_energy`] and [`MetricsSink::total_messages`] do,
+/// without that sink's per-kind, per-round and per-phase maps.
+impl TraceSink for Tally {
+    #[inline]
+    fn record(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Message { energy, .. } = *event {
+            self.add(energy);
+        }
+    }
 }
 
 /// Key of one phase interval: scope, index and stage as reported by the

@@ -6,7 +6,8 @@
 
 use energy_mst::core::{GhsVariant, RankScheme};
 use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
-use energy_mst::{JsonlSink, MetricsSink, Protocol, Sim};
+use energy_mst::radio::Tally;
+use energy_mst::{FaultPlan, JsonlSink, Membership, MetricsSink, Protocol, Sim};
 
 fn instance(n: usize) -> Vec<Point> {
     uniform_points(n, &mut trial_rng(0x0B5E_11CE, 0))
@@ -97,6 +98,41 @@ fn metrics_sink_conserves_the_ledger_exactly() {
             "{label}: per-kind energies sum to {kind_energy}, ledger {}",
             out.stats.energy
         );
+    }
+}
+
+#[test]
+fn tally_sink_conserves_the_ledger_on_clean_restricted_and_faulty_runs() {
+    // The totals-only sink sums in charge order too, so it must equal the
+    // run's `RunStats` bitwise whoever takes part and whatever is lost.
+    let n = 400;
+    let pts = instance(n);
+    let mut members = Membership::all_live(n);
+    for u in (0..n).step_by(9) {
+        members.leave(u);
+    }
+    let plan = FaultPlan::none().drop_probability(0.05).seed(7);
+    for (label, protocol, radius) in protocols(n) {
+        for mode in ["clean", "restricted", "faulty"] {
+            let mut tally = Tally::default();
+            let mut sim = Sim::new(&pts).sink(&mut tally);
+            if let Some(r) = radius {
+                sim = sim.radius(r);
+            }
+            sim = match mode {
+                "restricted" => sim.members(members.clone()),
+                "faulty" => sim.with_faults(plan.clone()),
+                _ => sim,
+            };
+            let outcome = sim.try_run(protocol);
+            let out = outcome.output().expect("the run finishes");
+            assert_eq!(
+                tally.energy.to_bits(),
+                out.stats.energy.to_bits(),
+                "{label}, {mode}: tally energy drifted from the ledger"
+            );
+            assert_eq!(tally.messages, out.stats.messages, "{label}, {mode}");
+        }
     }
 }
 
