@@ -333,8 +333,6 @@ pub struct GhsEngine {
     /// announcements and the merge-stage heal; empty in fault-free runs,
     /// whose caches are exact and read as live fragment ids.
     frag_cache: Vec<u32>,
-    /// Reusable row buffer of the restricted modified MOE search.
-    row_scratch: Vec<(usize, f64)>,
     tree_edges: Vec<Edge>,
     /// Per fragment id: does not search for MOEs (the giant in EOPT step
     /// 2). Set only on live ids.
@@ -415,7 +413,6 @@ impl GhsEngine {
             moe_state: Vec::new(),
             rejected: Vec::new(),
             frag_cache: Vec::new(),
-            row_scratch: Vec::new(),
             tree_edges: Vec::new(),
             passive: vec![false; n],
             inactive: vec![false; n],
@@ -947,38 +944,56 @@ impl GhsEngine {
     /// and no fault plan), a zero-message lookup: the smallest `(dist, id)`
     /// entry of `u`'s row among present neighbours in another fragment —
     /// the first such entry of the sorted row, found without sorting. The
-    /// row comes from [`RadioNet::neighbors_into`]: the topology's row after
-    /// `discover`, one grid query after [`GhsEngine::restore_neighbor_caches`].
-    /// Live fragment ids stand in for the §V-A caches, which are exact in
-    /// fault-free runs (every row-holder is within announce range).
+    /// row is read through [`RadioNet::for_neighbors_within_bound`]: the
+    /// topology's row after `discover`, a grid query after
+    /// [`GhsEngine::restore_neighbor_caches`]. Live fragment ids stand in
+    /// for the §V-A caches, which are exact in fault-free runs (every
+    /// row-holder is within announce range).
     ///
-    /// The answer is memoised in `u`'s slot. Fragments only merge and
+    /// `best` is the fragment's best candidate so far in this phase. A
+    /// node that must search visits only the entries within `best`'s
+    /// distance: one beyond it loses to `best` whatever its ids. A hit is
+    /// then still `u`'s exact minimum; a miss leaves the slot unscanned,
+    /// never exhausted, since farther foreign entries may exist.
+    ///
+    /// A hit is memoised in `u`'s slot. Fragments only merge and
     /// departures are fixed for the run, so `u`'s present foreign
     /// neighbours only shrink: a memoised candidate that is still foreign
     /// is still the minimum. A departed node has no MOE.
-    fn local_moe_restricted(&mut self, net: &RadioNet<'_>, u: usize) -> Option<Cand> {
+    fn local_moe_restricted(
+        &mut self,
+        net: &RadioNet<'_>,
+        u: usize,
+        best: Option<&Cand>,
+    ) -> Option<Cand> {
         let my = self.frag[u];
         let slot = &mut self.moe_state[u];
         if slot.v == MOE_EXHAUSTED {
             return None;
         }
         if slot.v == MOE_UNSCANNED || self.frag[slot.v as usize] == my {
-            let mut best: Option<(f64, u32)> = None;
+            let bound = best.map(|c| c.w);
+            let mut found: Option<(f64, u32)> = None;
             if !net.departed(u) {
-                net.neighbors_into(u, self.radius, &mut self.row_scratch);
-                for &(v, d) in &self.row_scratch {
-                    if self.frag[v] == my || net.departed(v) {
-                        continue;
+                let frag = &self.frag;
+                let radius = self.radius;
+                net.for_neighbors_within_bound(u, radius, bound.unwrap_or(radius), |v, d| {
+                    if frag[v] == my || net.departed(v) {
+                        return;
                     }
                     let v = v as u32;
-                    match best {
-                        Some((bd, bv)) if d.total_cmp(&bd).then(v.cmp(&bv)).is_ge() => {}
-                        _ => best = Some((d, v)),
+                    match found {
+                        Some((fd, fv)) if d.total_cmp(&fd).then(v.cmp(&fv)).is_ge() => {}
+                        _ => found = Some((d, v)),
                     }
-                }
+                });
             }
-            let Some((w, v)) = best else {
-                slot.v = MOE_EXHAUSTED;
+            let Some((w, v)) = found else {
+                slot.v = if bound.is_some() {
+                    MOE_UNSCANNED
+                } else {
+                    MOE_EXHAUSTED
+                };
                 return None;
             };
             (slot.v, slot.w) = (v, w);
@@ -1314,7 +1329,7 @@ impl GhsEngine {
                             (Self::moe_cached(topo, &self.frag_cache, self.frag[u], u), 0)
                         }
                         (Some(topo), _) => (self.local_moe_clean(topo, u), 0),
-                        (None, _) => (self.local_moe_restricted(net, u), 0),
+                        (None, _) => (self.local_moe_restricted(net, u, cand[ai].as_ref()), 0),
                     };
                     max_exchanges = max_exchanges.max(ex);
                     if let Some(c) = c {
@@ -2527,10 +2542,46 @@ mod tests {
         }
     }
 
+    /// The restricted search's memo slots against each node's present
+    /// foreign neighbours, read from its full row: a slot is unscanned;
+    /// exhausted, with none within radius; or holds `(v, w)` with none
+    /// below it by `(dist, id)`. So while `v` is foreign it is the node's
+    /// exact nearest present foreign neighbour, at distance `w`; once a
+    /// merge has absorbed `v`, nothing foreign lies at or below `(w, v)`.
+    fn check_restricted_slots(eng: &GhsEngine, net: &RadioNet<'_>, ctx: &str) {
+        for u in 0..eng.n {
+            let my = eng.frag[u];
+            let nearest = net
+                .neighbors(u, eng.radius)
+                .into_iter()
+                .filter(|&(v, _)| !net.departed(u) && !net.departed(v) && eng.frag[v] != my)
+                .map(|(v, d)| (d, v as u32))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let slot = eng.moe_state[u];
+            match slot.v {
+                MOE_UNSCANNED => {}
+                MOE_EXHAUSTED => assert_eq!(
+                    nearest, None,
+                    "{ctx}: node {u} is exhausted beside a present foreign neighbour"
+                ),
+                v if eng.frag[v as usize] != my => assert_eq!(
+                    nearest.map(|(d, x)| (d.to_bits(), x)),
+                    Some((slot.w.to_bits(), v)),
+                    "{ctx}: node {u}'s memo is not its nearest present foreign neighbour"
+                ),
+                v => assert!(
+                    nearest.map_or(true, |(d, x)| d.total_cmp(&slot.w).then(x.cmp(&v)).is_gt()),
+                    "{ctx}: node {u} has a foreign neighbour at or below its absorbed memo"
+                ),
+            }
+        }
+    }
+
     /// Runs `eng` to quiescence one `phase()` at a time — stopping like
     /// `run_phases` does — and checks the arena after every phase, plus
     /// that each passive fragment keeps its id and its flag, and, for an
-    /// original run, its reject state. Returns the most fragments a
+    /// original run, its reject state. A restricted modified run's memo
+    /// slots are checked before every phase. Returns the most fragments a
     /// passive one absorbed in a single phase.
     fn phases_checked(
         eng: &mut GhsEngine,
@@ -2541,11 +2592,18 @@ mod tests {
         check_arena(eng, ctx);
         // Original-variant cases enter right after `discover`, whose
         // hellos went out in the round it just ticked.
-        let hello_round = net.clock().now() - 1;
+        let hello_round = net.clock().now().saturating_sub(1);
         let (mut barren, mut most_absorbed) = (0, 0);
         loop {
             let passive_before = eng.passive_fragments();
             let live_before = eng.live.clone();
+            if eng.reads_rows_on_demand(net) {
+                check_restricted_slots(
+                    eng,
+                    net,
+                    &format!("{ctx}, before phase {}", eng.phases() + 1),
+                );
+            }
             let merged = eng.phase(net, kinds);
             let ctx = format!("{ctx}, phase {}", eng.phases());
             check_arena(eng, &ctx);
@@ -2653,6 +2711,28 @@ mod tests {
                 assert!(eng.tree().same_edges(&live_msf), "{ctx}");
             }
 
+            // A maintenance epoch over that live set: the live forest
+            // minus every fifth edge seeded, its largest fragment passive,
+            // rows read from the grid (no topology is cached).
+            let seeded: Vec<(usize, usize, f64)> = live_msf
+                .edges()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 5 != 0)
+                .map(|(_, e)| (e.u as usize, e.v as usize, e.w))
+                .collect();
+            let mut net = RadioNet::new(&pts, r);
+            net.set_members(&members);
+            let mut eng = GhsEngine::new(&net, GhsVariant::Modified);
+            eng.seed_forest(&seeded);
+            let (trunk, _) = eng.largest_fragment().expect("non-empty");
+            eng.mark_passive(trunk);
+            eng.restore_neighbor_caches(&mut net, r);
+            let ctx = format!("seed {seed}, restricted seeded");
+            phases_checked(&mut eng, &mut net, kinds, &ctx);
+            assert!(net.topology().is_none(), "{ctx}: rows came from a topology");
+            assert!(eng.tree().same_edges(&live_msf), "{ctx}");
+
             // EOPT: step 1, size classification, then step 2 with the
             // passive giant absorbing the small fragments.
             let cfg = EoptConfig::default();
@@ -2730,6 +2810,40 @@ mod tests {
             giant_absorbed.iter().all(|&k| k >= 2),
             "a passive giant should absorb several fragments in one phase: {giant_absorbed:?}"
         );
+
+        // The bounded search's tie: fragment {2, 3} searches, {0, 1} is
+        // passive, and node 4 is departed so the run is restricted. Nodes 2
+        // and 3 have their nearest foreign neighbours, 1 and 0, at the same
+        // distance bits, and 3, visited after 2, wins on ids: (w, 0, 3) <
+        // (w, 1, 2). So 3 must see an entry at exactly the bound 2 set.
+        let pts = [(0.6, 0.55), (0.6, 0.5), (0.5, 0.5), (0.5, 0.55), (0.9, 0.9)]
+            .map(|(x, y)| Point::new(x, y));
+        let r = 0.2;
+        let d = |a: usize, b: usize| pts[a].dist(&pts[b]);
+        assert_eq!(d(2, 1).to_bits(), d(3, 0).to_bits());
+        let mut members = emst_radio::Membership::all_live(pts.len());
+        members.leave(4);
+        let live_msf = emst_graph::disk_msf(&pts, r, |u| members.is_live(u));
+        for from_topology in [false, true] {
+            let mut net = RadioNet::new(&pts, r);
+            net.set_members(&members);
+            let mut eng = GhsEngine::new(&net, GhsVariant::Modified);
+            eng.seed_forest(&[(0, 1, d(0, 1)), (2, 3, d(2, 3))]);
+            eng.mark_passive(eng.frag_of(0));
+            if from_topology {
+                eng.discover(&mut net, r, kinds);
+            } else {
+                eng.restore_neighbor_caches(&mut net, r);
+            }
+            let ctx = format!("tie, rows from the topology: {from_topology}");
+            phases_checked(&mut eng, &mut net, kinds, &ctx);
+            assert!(
+                eng.tree().edges().iter().any(|e| (e.u, e.v) == (0, 3)),
+                "{ctx}: {:?}",
+                eng.tree().edges()
+            );
+            assert!(eng.tree().same_edges(&live_msf), "{ctx}");
+        }
     }
 
     #[test]

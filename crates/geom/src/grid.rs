@@ -228,6 +228,47 @@ impl<'a> BucketGrid<'a> {
         });
     }
 
+    /// Calls `f(j, dist)` for the neighbours [`BucketGrid::for_neighbors_within`]
+    /// visits at `radius` whose `dist` is at most `bound`, in the same
+    /// order, scanning only the window of the disk of radius
+    /// `min(bound, radius)` — with cells sized to `radius`, 1 to 4 cells
+    /// instead of 9 for a bound below it.
+    ///
+    /// The test is on `dist` itself, so an entry at exactly `bound` is
+    /// visited even where `dist_sq` exceeds `bound * bound` by an ulp; such
+    /// a point still lies inside the window's padded box. Only points with
+    /// `dist_sq <= cut` reach the square root: `sqrt(x)` rounds to at most
+    /// `bound` only if `x ≤ (bound + ulp(bound)/2)²`, which is below
+    /// `bound² · (1 + 1e-9)` for a normal `bound²` and below
+    /// `4 · f64::MIN_POSITIVE` otherwise.
+    pub fn for_neighbors_within_bound<F: FnMut(usize, f64)>(
+        &self,
+        i: usize,
+        radius: f64,
+        bound: f64,
+        mut f: F,
+    ) {
+        if radius < 0.0 || bound < 0.0 {
+            return;
+        }
+        let center = &self.points[i];
+        let r_sq = radius * radius;
+        let cut = (bound * bound * (1.0 + 1e-9))
+            .max(4.0 * f64::MIN_POSITIVE)
+            .min(r_sq);
+        for span in self.window(center, bound.min(radius)) {
+            for (&j, p) in self.order[span.clone()].iter().zip(&self.xy[span]) {
+                let d_sq = center.dist_sq(p);
+                if d_sq <= cut && j as usize != i {
+                    let d = d_sq.sqrt();
+                    if d <= bound {
+                        f(j as usize, d);
+                    }
+                }
+            }
+        }
+    }
+
     /// Fills `out` with the neighbours of `i` within `radius` (excluding
     /// `i`), clearing it first — the scratch-buffer form of
     /// [`BucketGrid::neighbors_within`] for callers that query in a loop
@@ -691,6 +732,28 @@ mod tests {
                 grid.neighbors_within_into(qi, r, &mut buf);
                 assert_eq!(legacy, visited, "q={qi} r={r}");
                 assert_eq!(legacy, buf, "q={qi} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_visits_keep_entries_at_the_bound() {
+        // A bound equal to a neighbour's distance keeps it, down to
+        // distances whose squares are subnormal or zero.
+        for gap in [0.05, 1e-80, 1e-160, 1e-170, 0.0] {
+            let pts = vec![
+                Point::new(0.0, 0.0),
+                Point::new(gap, 0.0),
+                Point::new(0.0, 3.0 * gap),
+                Point::new(0.3, 0.3),
+            ];
+            let grid = BucketGrid::for_radius(&pts, 0.1);
+            let row = grid.neighbors_within(0, 0.1);
+            for &(_, bound) in &row {
+                let mut near = Vec::new();
+                grid.for_neighbors_within_bound(0, 0.1, bound, |j, d| near.push((j, d)));
+                let want: Vec<_> = row.iter().copied().filter(|&(_, d)| d <= bound).collect();
+                assert_eq!(near, want, "gap {gap:e}, bound {bound:e}");
             }
         }
     }

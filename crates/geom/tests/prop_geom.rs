@@ -33,9 +33,10 @@ fn reference_row(grid: &BucketGrid<'_>, center: &Point, r: f64) -> Vec<(usize, u
         .collect()
 }
 
-/// Checks `for_each_in_disk`, `for_neighbors_within` and
-/// `for_each_edge_within` against the reference rows at `r`, for every
-/// point of the grid: ids, order and distance bits.
+/// Checks `for_each_in_disk`, `for_neighbors_within`,
+/// `for_neighbors_within_bound` and `for_each_edge_within` against the
+/// reference rows at `r`, for every point of the grid: ids, order and
+/// distance bits.
 fn scans_match_reference(grid: &BucketGrid<'_>, r: f64) -> Result<(), String> {
     let (pts, cell) = (grid.points(), grid.cell_size());
     let at = |what: &str, u: usize| format!("{what} at {u} {:?}, cell {cell:e}, r {r:e}", pts[u]);
@@ -52,6 +53,21 @@ fn scans_match_reference(grid: &BucketGrid<'_>, r: f64) -> Result<(), String> {
         grid.for_neighbors_within(u, r, |v, d| row.push((v, d.to_bits())));
         if row != want {
             return Err(at("for_neighbors_within", u));
+        }
+        // A bound at one of the row's own distances keeps exactly the
+        // entries at or below it, in row order.
+        if let Some(&(_, b)) = want.get(want.len() / 2) {
+            let bound = f64::from_bits(b);
+            let mut near = Vec::new();
+            grid.for_neighbors_within_bound(u, r, bound, |v, d| near.push((v, d.to_bits())));
+            let below: Vec<_> = want
+                .iter()
+                .copied()
+                .filter(|&(_, d)| f64::from_bits(d) <= bound)
+                .collect();
+            if near != below {
+                return Err(at("for_neighbors_within_bound", u));
+            }
         }
         edges_want.extend(
             want.iter()

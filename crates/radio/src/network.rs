@@ -540,6 +540,26 @@ impl<'a> RadioNet<'a> {
         }
     }
 
+    /// Calls `f(v, dist)` for the entries of `u`'s row at `radius` (see
+    /// [`RadioNet::neighbors_into`]) with `dist <= bound`, in row order:
+    /// the cached topology's row with the farther entries skipped, or
+    /// the grid cells of the disk of radius `min(bound, radius)`.
+    pub fn for_neighbors_within_bound(
+        &self,
+        u: usize,
+        radius: f64,
+        bound: f64,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        if let Some(t) = self.topology_at(radius) {
+            for (v, d) in t.neighbors(u).filter(|&(_, d)| d <= bound) {
+                f(v, d);
+            }
+        } else {
+            self.grid.for_neighbors_within_bound(u, radius, bound, f);
+        }
+    }
+
     /// Degree of `u` at `radius`.
     pub fn degree(&self, u: usize, radius: f64) -> usize {
         if let Some(t) = self.topology_at(radius) {
@@ -988,15 +1008,22 @@ mod tests {
     #[test]
     fn neighbors_into_matches_neighbors_under_cache_mismatch() {
         // A cached topology at a *different* radius must not poison
-        // queries at other radii: they fall through to the grid.
+        // queries at other radii: they fall through to the grid. A bound
+        // at a row's middle distance keeps the row's entries up to it,
+        // from the cached row and from the grid alike.
         let pts = uniform_points(150, &mut trial_rng(75, 0));
         let mut net = RadioNet::new(&pts, 0.05);
         net.cache_topology(0.05);
-        let mut buf = Vec::new();
+        let (mut buf, mut near) = (Vec::new(), Vec::new());
         for u in [0usize, 70, 149] {
             for r in [0.02, 0.05, 0.3] {
                 net.neighbors_into(u, r, &mut buf);
                 assert_eq!(buf, net.neighbors(u, r), "u={u} r={r}");
+                let bound = buf.get(buf.len() / 2).map_or(r, |&(_, d)| d);
+                near.clear();
+                net.for_neighbors_within_bound(u, r, bound, |v, d| near.push((v, d)));
+                buf.retain(|&(_, d)| d <= bound);
+                assert_eq!(near, buf, "u={u} r={r} bound={bound}");
             }
         }
     }
