@@ -337,13 +337,6 @@ fn run_step<R>(
     (out, stats, conserved)
 }
 
-/// Sorts candidate edges by the global `(w, u, v)` tie-break (the
-/// Kruskal order) and drops duplicate `(u, v)` pairs.
-fn sort_dedup(edges: &mut Vec<Edge>) {
-    edges.sort_unstable_by(|a, b| a.w.total_cmp(&b.w).then(a.u.cmp(&b.u)).then(a.v.cmp(&b.v)));
-    edges.dedup_by(|a, b| a.u == b.u && a.v == b.v);
-}
-
 /// A cumulative accounting snapshot of a maintenance session: bootstrap
 /// plus every advanced epoch, with energy carried as exact bits so two
 /// snapshots compare bitwise, never approximately.
@@ -615,40 +608,57 @@ impl MaintainSession {
                                 // Each arrival's row is one grid query, in
                                 // the order a cached topology row has, so
                                 // the replies are charged in that order.
-                                let mut cand = old_forest.clone();
+                                let mut fresh: Vec<Edge> = Vec::new();
                                 let mut row = Vec::new();
                                 for &a in &arrivals {
                                     net.neighbors_into(a, radius, &mut row);
                                     for &(v, d) in row.iter().filter(|&&(v, _)| members.is_live(v))
                                     {
                                         net.unicast(v, a, kinds.hello);
-                                        cand.push(Edge::new(a, v, d));
+                                        fresh.push(Edge::new(a, v, d));
                                     }
                                 }
-                                sort_dedup(&mut cand);
+                                // Kruskal over `forest ∪ E_A` in the global
+                                // `(w, u, v)` order, walking candidate indices:
+                                // `i < old_forest.len()` is old-forest edge
+                                // `i`, the rest are arrival edges. No
+                                // old-forest edge touches an arrival (movers
+                                // lost theirs as departures), so the only
+                                // repeats are arrival–arrival edges heard
+                                // from both ends, with equal bits; the union
+                                // rejects the second copy. The old forest is
+                                // mostly the last epoch's Kruskal output, in
+                                // order, which the run-aware stable sort
+                                // merges instead of re-sorting.
+                                let edge = |i: u32| match old_forest.get(i as usize) {
+                                    Some(e) => *e,
+                                    None => fresh[i as usize - old_forest.len()],
+                                };
+                                let mut order: Vec<u32> =
+                                    (0..(old_forest.len() + fresh.len()) as u32).collect();
+                                order.sort_by(|&i, &j| {
+                                    let (a, b) = (edge(i), edge(j));
+                                    a.w.total_cmp(&b.w).then(a.u.cmp(&b.u)).then(a.v.cmp(&b.v))
+                                });
                                 let mut uf = UnionFind::new(net.n());
                                 let mut adopted: Vec<Edge> = Vec::new();
-                                for e in &cand {
+                                let mut evicted = vec![false; old_forest.len()];
+                                for &i in &order {
+                                    let e = edge(i);
                                     if uf.union(e.u as usize, e.v as usize) {
-                                        adopted.push(*e);
+                                        adopted.push(e);
+                                        if i as usize >= old_forest.len() {
+                                            net.exchange(e.u as usize, e.v as usize, kinds.connect);
+                                        }
+                                    } else if let Some(gone) = evicted.get_mut(i as usize) {
+                                        *gone = true;
                                     }
                                 }
-                                let is_arrival = |u: usize| arrivals.binary_search(&u).is_ok();
-                                for e in &adopted {
-                                    if is_arrival(e.u as usize) || is_arrival(e.v as usize) {
-                                        net.exchange(e.u as usize, e.v as usize, kinds.connect);
-                                    }
+                                // Teardowns in old-forest order.
+                                for (e, _) in old_forest.iter().zip(&evicted).filter(|(_, &g)| g) {
+                                    net.unicast(e.u as usize, e.v as usize, TEARDOWN);
                                 }
-                                let mut kept: Vec<(u32, u32)> =
-                                    adopted.iter().map(|e| (e.u, e.v)).collect();
-                                kept.sort_unstable();
-                                let mut evicted = 0usize;
-                                for e in &old_forest {
-                                    if kept.binary_search(&(e.u, e.v)).is_err() {
-                                        net.unicast(e.u as usize, e.v as usize, TEARDOWN);
-                                        evicted += 1;
-                                    }
-                                }
+                                let evicted = evicted.iter().filter(|&&g| g).count();
                                 // hello, reply, connect, teardown slots.
                                 net.advance_rounds(4);
                                 (adopted, evicted)
