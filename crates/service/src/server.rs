@@ -716,6 +716,14 @@ fn execute_churn(
     writer: &mut &TcpStream,
 ) -> io::Result<()> {
     let radius = req.radius.expect("validated: churn requires radius");
+    // The universe starts at n and grows with each join, in epoch order.
+    let mut universe = req.n;
+    for events in churn.timeline.epochs() {
+        universe = match validate_events(events, universe, "churn.events") {
+            Ok(u) => u,
+            Err(e) => return respond_request_error(state, writer, &e),
+        };
+    }
     let (instance, cache_hit) = state.cache.get_or_generate(key_for(req, req.trial));
     let report = maintain(instance.points(), radius, &churn.timeline, churn.strategy);
 
@@ -817,33 +825,36 @@ fn handle_session_create(
     }
 }
 
-/// Pre-validates an advance's events against the session's id universe
-/// so an out-of-range id is a typed 400 and the session stays untouched
-/// (the core layer would assert). Joins grow the universe as they apply.
-fn validate_events(events: &[ChurnEvent], universe: usize) -> Result<(), RequestError> {
+/// Pre-validates one epoch's events against an id universe of
+/// `universe` ids, so an out-of-range id is a typed 400 on `field` before
+/// any core state is touched (the core layer asserts on a wake or move of
+/// an unknown id, and ignores a crash or sleep of one). Joins grow the
+/// universe as they apply; returns the universe after the epoch.
+fn validate_events(
+    events: &[ChurnEvent],
+    universe: usize,
+    field: &'static str,
+) -> Result<usize, RequestError> {
     let mut u = universe;
     for ev in events {
-        match *ev {
-            ChurnEvent::Join(_) => u += 1,
-            ChurnEvent::Crash(x) | ChurnEvent::Sleep(x) | ChurnEvent::Wake(x) => {
-                if x >= u {
-                    return Err(RequestError::BadField {
-                        field: "events",
-                        why: format!("node id {x} out of range for session universe {u}"),
-                    });
-                }
+        let x = match *ev {
+            ChurnEvent::Join(_) => {
+                u += 1;
+                continue;
             }
-            ChurnEvent::Move(x, _) => {
-                if x >= u {
-                    return Err(RequestError::BadField {
-                        field: "events",
-                        why: format!("node id {x} out of range for session universe {u}"),
-                    });
-                }
-            }
+            ChurnEvent::Crash(x)
+            | ChurnEvent::Sleep(x)
+            | ChurnEvent::Wake(x)
+            | ChurnEvent::Move(x, _) => x,
+        };
+        if x >= u {
+            return Err(RequestError::BadField {
+                field,
+                why: format!("node id {x} out of range for universe {u}"),
+            });
         }
     }
-    Ok(())
+    Ok(u)
 }
 
 fn handle_session_advance(
@@ -876,7 +887,7 @@ fn handle_session_advance(
         }
         Err(SessionError::TableFull) => unreachable!("checkout never reports capacity"),
     };
-    if let Err(e) = validate_events(events, session.universe()) {
+    if let Err(e) = validate_events(events, session.universe(), "events") {
         state.sessions.release(id, session);
         return respond_request_error(state, writer, &e);
     }

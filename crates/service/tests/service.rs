@@ -969,6 +969,53 @@ fn session_advance_rejects_out_of_universe_ids() {
     assert_stats_conserved(&addr);
 }
 
+/// One-shot `/run` churn timelines check node ids as session advances do,
+/// against a universe that starts at `n` and grows with each join in
+/// epoch order: an unknown id is a typed 400 for every op, never a panic
+/// or a silently ignored event, and the connection goes on serving.
+#[test]
+fn churn_timelines_reject_out_of_universe_ids() {
+    let server = boot(4);
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let run = |client: &mut Client, events: &str| {
+        let body = format!(
+            r#"{{"protocol": "ghs_modified", "n": 60, "radius": 0.4,
+                "churn": {{"epochs": 2, "events": [{events}]}}}}"#
+        );
+        client.post("/run", body.as_bytes()).unwrap()
+    };
+    for event in [
+        r#"{"epoch": 1, "op": "wake", "node": 6000}"#,
+        r#"{"epoch": 1, "op": "move", "node": 6000, "x": 0.5, "y": 0.5}"#,
+        r#"{"epoch": 1, "op": "crash", "node": 6000}"#,
+        r#"{"epoch": 1, "op": "sleep", "node": 6000}"#,
+        // Id 60 only exists once a join has applied.
+        r#"{"epoch": 0, "op": "sleep", "node": 60}, {"epoch": 1, "op": "join", "x": 0.2, "y": 0.8}"#,
+    ] {
+        let bad = run(&mut client, event);
+        assert_eq!(bad.status, 400, "{event}: {}", bad.text());
+        assert_eq!(
+            Json::parse(&bad.text())
+                .unwrap()
+                .get("code")
+                .and_then(Json::as_str),
+            Some("bad_field"),
+            "{event}"
+        );
+        assert_eq!(client.get("/healthz").unwrap().status, 200, "{event}");
+    }
+    let ok = run(
+        &mut client,
+        r#"{"epoch": 0, "op": "join", "x": 0.2, "y": 0.8}, {"epoch": 1, "op": "sleep", "node": 60}"#,
+    );
+    assert_eq!(ok.status, 200, "{}", ok.text());
+    let stats = Json::parse(&client.get("/stats").unwrap().text()).unwrap();
+    let requests = stats.get("requests").unwrap();
+    assert_eq!(requests.get("server_5xx").and_then(Json::as_u64), Some(0));
+    assert_stats_conserved_on(&mut client);
+}
+
 /// A trace long-poll parked on a quiet session wakes as soon as another
 /// connection advances it.
 #[test]
