@@ -2570,7 +2570,7 @@ mod tests {
                     "{ctx}: node {u}'s memo is not its nearest present foreign neighbour"
                 ),
                 v => assert!(
-                    nearest.map_or(true, |(d, x)| d.total_cmp(&slot.w).then(x.cmp(&v)).is_gt()),
+                    !nearest.is_some_and(|(d, x)| d.total_cmp(&slot.w).then(x.cmp(&v)).is_le()),
                     "{ctx}: node {u} has a foreign neighbour at or below its absorbed memo"
                 ),
             }
