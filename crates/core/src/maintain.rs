@@ -654,7 +654,8 @@ impl MaintainSession {
                                         *gone = true;
                                     }
                                 }
-                                // Teardowns in old-forest order.
+                                // Teardowns in old-forest order, which fixes
+                                // the order the ledger sums their energy in.
                                 for (e, _) in old_forest.iter().zip(&evicted).filter(|(_, &g)| g) {
                                     net.unicast(e.u as usize, e.v as usize, TEARDOWN);
                                 }
