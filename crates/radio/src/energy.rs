@@ -8,7 +8,8 @@
 
 use std::fmt;
 
-/// Message count and accumulated energy for one message kind.
+/// Message count and accumulated energy for one message kind, or, as a
+/// [`TraceSink`](crate::TraceSink), for a whole run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Tally {
     /// Number of transmissions.
