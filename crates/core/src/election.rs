@@ -89,15 +89,17 @@ pub(crate) fn drive_flood(
     // A flood starved by losses still yields a (possibly disagreeing)
     // per-node view: tolerate the round-limit overrun under faults.
     let nodes = env.run_nodes_tolerant("elect", "flood", nodes, budget)?;
-    // Departed nodes never run and keep their own id as `best`: the leader
-    // and the agreement are taken over the present nodes only.
-    let net = env.net();
+    // Departed nodes never run, and a node crashed before the flood
+    // reaches it stops hearing it: both keep a stale `best`. The leader
+    // and the agreement are taken over the nodes still up at the last
+    // round only.
+    let up = running_at_end(env);
     let present = || {
         nodes
             .iter()
-            .enumerate()
-            .filter(|&(u, _)| !net.departed(u))
-            .map(|(_, e)| e.best)
+            .zip(&up)
+            .filter(|&(_, &up)| up)
+            .map(|(e, _)| e.best)
     };
     let leader = present().max().unwrap_or(0);
     let agreed = present().all(|best| best == leader);
@@ -106,6 +108,16 @@ pub(crate) fn drive_flood(
         leader,
         agreed,
     })
+}
+
+/// Per node: neither departed nor crashed at the network's current round
+/// (the run's last, once it has finished).
+fn running_at_end(env: &crate::ExecEnv<'_>) -> Vec<bool> {
+    let net = env.net();
+    let round = net.clock().now();
+    (0..env.n())
+        .map(|u| !net.departed(u) && !net.crashed(u, round))
+        .collect()
 }
 
 /// Leader election along a BFS spanning tree: one flood to build the tree
@@ -156,10 +168,13 @@ pub(crate) fn drive_tree(
         net.advance_rounds(2 * tree.depth_from(0) as u64);
         leader
     });
-    // Agreement holds for every node the tree reaches; departed nodes
-    // never join it.
-    let present = (0..n).filter(|&u| !env.net().departed(u)).count();
-    let agreed = bfs.reached == present;
+    // Agreement holds when the tree reaches every node still up at the
+    // last round; departed nodes never join it, and a node that crashed
+    // takes no part in the outcome whether it joined or not.
+    let agreed = running_at_end(env)
+        .iter()
+        .zip(&parent)
+        .all(|(&up, &p)| !up || p != usize::MAX);
     Ok(ElectionRun {
         tree,
         leader,
@@ -254,6 +269,23 @@ mod tests {
                 .run(protocol);
             let detail = election(&out);
             assert_eq!(detail.leader, 198, "{protocol:?}");
+            assert!(detail.agreed, "{protocol:?}");
+        }
+    }
+
+    #[test]
+    fn nodes_crashed_before_the_flood_do_not_block_agreement() {
+        // Node 17 (not the maximum) is down from round 0: it never hears
+        // the flood nor joins the tree, and keeps its own id.
+        let n = 200;
+        let pts = uniform_points(n, &mut trial_rng(1001, 0));
+        for protocol in [Protocol::ElectionFlood, Protocol::ElectionTree] {
+            let out = Sim::new(&pts)
+                .radius(paper_phase2_radius(n))
+                .with_faults(FaultPlan::none().crash_at(17, 0))
+                .run(protocol);
+            let detail = election(&out);
+            assert_eq!(detail.leader, n - 1, "{protocol:?}");
             assert!(detail.agreed, "{protocol:?}");
         }
     }

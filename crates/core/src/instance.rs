@@ -28,8 +28,10 @@ use std::sync::{Arc, Mutex};
 
 /// Capacity of the per-instance topology cache. A run needs at most two
 /// entries (EOPT's two radii, the smaller restricted from the larger's
-/// rows rather than built); four leaves headroom for a caller mixing
-/// protocols over one instance before LRU eviction kicks in.
+/// rows rather than built), and a paper sweep trial running GHS, EOPT and
+/// Co-NNT over one instance holds those two (Co-NNT installs no rows);
+/// four leaves headroom for a caller mixing radii over one instance
+/// before LRU eviction kicks in.
 const TOPOLOGY_CACHE_CAPACITY: usize = 4;
 
 /// Counters of one bounded cache: how often it answered from memory, how

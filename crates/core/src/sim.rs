@@ -552,11 +552,17 @@ impl<'a> Sim<'a> {
     }
 
     /// Starts a run description over a reusable [`crate::Instance`]: the
-    /// instance's memoised topology builds (bucket grid, CSR adjacency,
-    /// sorted rows) are installed on the run's network, so repeated runs
-    /// over one instance skip the per-run rebuild entirely. Results are
+    /// instance's memoised topology builds (CSR adjacency, sorted rows)
+    /// are installed on the run's network, so repeated runs over one
+    /// instance skip the per-run rebuild entirely. Results are
     /// bit-identical to [`Sim::new`] over the same points — the instance
     /// performs the exact build the run would have, just once.
+    ///
+    /// Rows are installed only for the protocols that cache rows
+    /// themselves (GHS, EOPT, BFS and the elections). Co-NNT caches none
+    /// in a [`Sim::new`] run, so through an instance it builds none
+    /// either and its probes query the grid: cached rows equal those
+    /// queries, in order, so the run is the same bit for bit.
     pub fn from_instance(instance: &'a crate::Instance) -> Self {
         let mut sim = Sim::new(instance.points());
         sim.instance = Some(instance);
@@ -820,7 +826,7 @@ impl<'a> Sim<'a> {
         if awake || matches!(protocol, Protocol::Ghs(GhsVariant::LowAwake)) {
             env.track_awake();
         }
-        if let Some(inst) = instance {
+        if let Some(inst) = instance.filter(|_| !matches!(protocol, Protocol::Nnt(_))) {
             // Prewarm every radius the run will cache. The network's grid
             // is sized for `max_radius`, and topology rows are in grid
             // visit order, so builds at a smaller radius (EOPT step 1)

@@ -228,6 +228,50 @@ impl<'a> BucketGrid<'a> {
         });
     }
 
+    /// Appends the row [`BucketGrid::for_neighbors_within`] visits for
+    /// point `i` at `radius` to `ids` and `dists`: the same ids, in the
+    /// same order, with the same distance bits.
+    ///
+    /// The scan has no data-dependent branch: each window candidate's
+    /// `(j, dist_sq)` is written at the end of the row, which then
+    /// advances by the accept bit `(dist_sq <= radius²) & (j != i)`, so
+    /// the next candidate overwrites a rejected one; the kept entries'
+    /// square roots are taken at the end. A window row that would overrun
+    /// the vectors' capacity grows them to the next power of two that
+    /// holds it, as doubling pushes would.
+    pub fn extend_row(&self, i: usize, radius: f64, ids: &mut Vec<u32>, dists: &mut Vec<f64>) {
+        debug_assert_eq!(ids.len(), dists.len(), "ids and distances out of step");
+        if radius < 0.0 {
+            return;
+        }
+        let center = &self.points[i];
+        let r_sq = radius * radius;
+        let row_start = ids.len();
+        for span in self.window(center, radius) {
+            let mut end = ids.len();
+            let need = end + span.len();
+            if need > ids.capacity() {
+                ids.reserve_exact(need.next_power_of_two() - end);
+            }
+            if need > dists.capacity() {
+                dists.reserve_exact(need.next_power_of_two() - end);
+            }
+            ids.resize(need, 0);
+            dists.resize(need, 0.0);
+            for (&j, p) in self.order[span.clone()].iter().zip(&self.xy[span]) {
+                let d_sq = center.dist_sq(p);
+                ids[end] = j;
+                dists[end] = d_sq;
+                end += usize::from((d_sq <= r_sq) & (j as usize != i));
+            }
+            ids.truncate(end);
+            dists.truncate(end);
+        }
+        for d in &mut dists[row_start..] {
+            *d = d.sqrt();
+        }
+    }
+
     /// Calls `f(j, dist)` for the neighbours [`BucketGrid::for_neighbors_within`]
     /// visits at `radius` whose `dist` is at most `bound`, in the same
     /// order, scanning only the window of the disk of radius

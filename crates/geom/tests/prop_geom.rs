@@ -33,7 +33,7 @@ fn reference_row(grid: &BucketGrid<'_>, center: &Point, r: f64) -> Vec<(usize, u
         .collect()
 }
 
-/// Checks `for_each_in_disk`, `for_neighbors_within`,
+/// Checks `for_each_in_disk`, `for_neighbors_within`, `extend_row`,
 /// `for_neighbors_within_bound` and `for_each_edge_within` against the
 /// reference rows at `r`, for every point of the grid: ids, order and
 /// distance bits.
@@ -53,6 +53,18 @@ fn scans_match_reference(grid: &BucketGrid<'_>, r: f64) -> Result<(), String> {
         grid.for_neighbors_within(u, r, |v, d| row.push((v, d.to_bits())));
         if row != want {
             return Err(at("for_neighbors_within", u));
+        }
+        // The branchless kernel appends the same row after what the
+        // vectors already hold, which it leaves alone.
+        let (mut ids, mut dists) = (vec![7u32], vec![0.5f64]);
+        grid.extend_row(u, r, &mut ids, &mut dists);
+        let appended: Vec<_> = ids[1..]
+            .iter()
+            .zip(&dists[1..])
+            .map(|(&v, d)| (v as usize, d.to_bits()))
+            .collect();
+        if (ids[0], dists[0]) != (7, 0.5) || appended != want {
+            return Err(at("extend_row", u));
         }
         // A bound at one of the row's own distances keeps exactly the
         // entries at or below it, in row order.

@@ -84,7 +84,10 @@ impl PartialEq for Topology {
 
 impl Topology {
     /// Builds the adjacency for every node at `radius` by a single pass of
-    /// grid disk queries. O(n + m) memory for an m-edge unit-disk graph.
+    /// grid disk queries ([`BucketGrid::extend_row`], the branchless form
+    /// of [`BucketGrid::for_neighbors_within`]). O(n + m) memory for an
+    /// m-edge unit-disk graph: the row arrays grow by doubling and are
+    /// shrunk in place to their exact length at the end.
     pub fn build(grid: &BucketGrid<'_>, radius: f64) -> Self {
         assert!(radius >= 0.0, "negative topology radius");
         let n = grid.points().len();
@@ -93,13 +96,12 @@ impl Topology {
         let mut dist: Vec<f64> = Vec::new();
         offsets.push(0u32);
         for u in 0..n {
-            grid.for_neighbors_within(u, radius, |v, d| {
-                nbr.push(v as u32);
-                dist.push(d);
-            });
+            grid.extend_row(u, radius, &mut nbr, &mut dist);
             let end = u32::try_from(nbr.len()).expect("topology larger than u32 edge space");
             offsets.push(end);
         }
+        nbr.shrink_to_fit();
+        dist.shrink_to_fit();
         Topology {
             radius,
             offsets,
@@ -123,7 +125,8 @@ impl Topology {
     ///
     /// The sorted view is built on first use, by the same `(dist, id)`
     /// sort as a build's, so restricting never forces this topology's own
-    /// sorted view.
+    /// sorted view. Like a build's, the row arrays end at their exact
+    /// length.
     pub fn restrict(&self, points: &[Point], radius: f64) -> Topology {
         assert!(
             (0.0..=self.radius).contains(&radius),
@@ -146,6 +149,8 @@ impl Topology {
             }
             offsets.push(u32::try_from(nbr.len()).expect("no larger than the parent rows"));
         }
+        nbr.shrink_to_fit();
+        dist.shrink_to_fit();
         Topology {
             radius,
             offsets,
@@ -159,24 +164,53 @@ impl Topology {
     /// cached for the topology's lifetime. Protocols that scan rows in
     /// ascending-weight order (modified-GHS MOE search) borrow this
     /// instead of sorting private copies per run.
+    ///
+    /// Each row sorts one `u64` key per entry: the distance's bits with
+    /// the low `⌈log₂ len⌉` bits replaced by the entry's index in the row.
+    /// Distances are square roots of sums of squares, finite with the
+    /// sign bit clear, so their bits order as `total_cmp` does; keys that
+    /// agree above the index field (exact ties, or distances that differ
+    /// only in the replaced bits) form runs that are re-sorted by
+    /// `(dist bits, id)`. Ids and distances are then gathered through the
+    /// index, into arrays of the rows' exact length.
     pub fn sorted(&self) -> &SortedRows {
         self.sorted.get_or_init(|| {
-            let mut ids = vec![0u32; self.nbr.len()];
-            let mut dists = vec![0f64; self.nbr.len()];
-            let mut scratch: Vec<(f64, u32)> = Vec::new();
+            let mut ids = Vec::with_capacity(self.nbr.len());
+            let mut dists = Vec::with_capacity(self.nbr.len());
+            let mut keys: Vec<u64> = Vec::new();
             for u in 0..self.n() {
-                let r = self.row(u);
-                scratch.clear();
-                scratch.extend(
-                    self.nbr[r.clone()]
-                        .iter()
-                        .zip(&self.dist[r.clone()])
-                        .map(|(&v, &d)| (d, v)),
-                );
-                scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for (k, &(d, v)) in scratch.iter().enumerate() {
-                    ids[r.start + k] = v;
-                    dists[r.start + k] = d;
+                let (row_ids, row_d) = (self.ids(u), self.dists(u));
+                let len = row_ids.len();
+                if len == 0 {
+                    continue;
+                }
+                let index_bits = usize::BITS - (len - 1).leading_zeros();
+                let index = (1u64 << index_bits) - 1;
+                keys.clear();
+                keys.extend(row_d.iter().enumerate().map(|(k, d)| {
+                    debug_assert!(
+                        d.is_sign_positive(),
+                        "row distance {d} has its sign bit set"
+                    );
+                    (d.to_bits() & !index) | k as u64
+                }));
+                keys.sort_unstable();
+                let mut run = 0;
+                for k in 1..=len {
+                    if k == len || (keys[k] ^ keys[run]) & !index != 0 {
+                        if k - run > 1 {
+                            keys[run..k].sort_unstable_by_key(|&key| {
+                                let j = (key & index) as usize;
+                                (row_d[j].to_bits(), row_ids[j])
+                            });
+                        }
+                        run = k;
+                    }
+                }
+                for &key in &keys {
+                    let j = (key & index) as usize;
+                    ids.push(row_ids[j]);
+                    dists.push(row_d[j]);
                 }
             }
             SortedRows { ids, dists }
@@ -278,6 +312,83 @@ mod tests {
             (t.nbr.clone(), bits(&t.dist)),
             (t.sorted().ids.clone(), bits(&t.sorted().dists)),
         ]
+    }
+
+    /// The sorted view by a `(total_cmp, id)` comparison sort of each row,
+    /// distances as bits.
+    fn reference_sorted(t: &Topology) -> (Vec<u32>, Vec<u64>) {
+        let mut want = (Vec::new(), Vec::new());
+        for u in 0..t.n() {
+            let mut row: Vec<(f64, u32)> = t.neighbors(u).map(|(v, d)| (d, v as u32)).collect();
+            row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            want.0.extend(row.iter().map(|&(_, v)| v));
+            want.1.extend(row.iter().map(|&(d, _)| d.to_bits()));
+        }
+        want
+    }
+
+    /// A `side × side` lattice of spacing `step` from `origin`, numbered
+    /// from the top right so ids run against the grid's visit order;
+    /// every seventh point doubled (a coincident pair) and every fifth
+    /// moved by one ulp in `x` (distances equal but for their low bits).
+    fn lattice(side: usize, step: f64, origin: f64) -> Vec<Point> {
+        let mut pts = Vec::new();
+        for (k, (i, j)) in (0..side)
+            .rev()
+            .flat_map(|j| (0..side).rev().map(move |i| (i, j)))
+            .enumerate()
+        {
+            let mut p = Point::new(origin + i as f64 * step, origin + j as f64 * step);
+            if k % 5 == 0 {
+                p.x = f64::from_bits(p.x.to_bits() + 1);
+            }
+            pts.push(p);
+            if k % 7 == 0 {
+                pts.push(p);
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn sorted_view_equals_a_comparison_sort() {
+        // Lattices put many exactly equal and near-equal distances in each
+        // row (the key-tie runs); rows of up to about 130, 370 and 1 170
+        // entries cover index fields of 8, 9 and 11 bits.
+        let mut cases = vec![
+            (lattice(40, 1.0 / 64.0, 0.1), 6.0 / 64.0),
+            (lattice(18, 1.0 / 512.0, 0.4), 0.2),
+            (lattice(32, 1.0 / 1024.0, 0.4), 0.2),
+        ];
+        cases.push((
+            uniform_points(2000, &mut trial_rng(85, 0)),
+            paper_phase2_radius(2000),
+        ));
+        let mut longest = 0;
+        for (pts, r) in &cases {
+            let rows = Topology::build(&BucketGrid::for_radius(pts, *r), *r);
+            longest = longest.max((0..rows.n()).map(|u| rows.degree(u)).max().unwrap_or(0));
+            let (ids, bits) = reference_sorted(&rows);
+            assert_eq!(rows.sorted().ids, ids, "n {} r {r:e}", pts.len());
+            let got: Vec<u64> = rows.sorted().dists.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(got, bits, "n {} r {r:e}", pts.len());
+            assert_eq!(rows.sorted().ids.capacity(), rows.directed_edges());
+        }
+        assert!(longest > 1024, "longest row {longest}");
+    }
+
+    #[test]
+    fn row_arrays_end_at_their_exact_length() {
+        let pts = uniform_points(2000, &mut trial_rng(86, 0));
+        let r2 = paper_phase2_radius(2000);
+        let grid = BucketGrid::for_radius(&pts, r2);
+        let rows = Topology::build(&grid, r2);
+        let step1 = rows.restrict(&pts, paper_phase1_radius(2000));
+        for t in [&rows, &step1] {
+            assert!(t.directed_edges() > 0);
+            assert_eq!(t.nbr.capacity(), t.nbr.len());
+            assert_eq!(t.dist.capacity(), t.dist.len());
+        }
     }
 
     #[test]

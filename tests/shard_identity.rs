@@ -15,8 +15,11 @@
 //! 3. **Property** — random instances, shard counts (including counts
 //!    exceeding `n`), fault plans and both entry points
 //!    ([`Sim::new`] vs [`Sim::from_instance`]) all agree bit-for-bit.
+//!
+//! Co-NNT, which no shard count touches, is pinned across the two entry
+//! points on its own.
 
-use energy_mst::core::GhsVariant;
+use energy_mst::core::{GhsVariant, RankScheme};
 use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
 use energy_mst::{FaultPlan, Instance, JsonlSink, Protocol, RepairPolicy, RunOutcome, Sim};
 use proptest::prelude::*;
@@ -272,6 +275,47 @@ fn repaired_outcome_is_shard_invariant() {
         }
     }
     assert!(repaired_seen, "window must exercise a Repaired outcome");
+}
+
+/// Co-NNT caches no rows in a `Sim::new` run, and `Sim::from_instance`
+/// installs none for it: for every rank scheme, clean and under the
+/// fixture fault plan, both entry points render the same ledger and
+/// trace line by line, and the instance's topology cache never builds.
+#[test]
+fn co_nnt_renders_identically_through_both_entry_points() {
+    for n in [60usize, 200, 2000] {
+        let pts = instance_points(0xC0_4747 ^ n as u64, n);
+        let inst = Instance::new(pts.clone());
+        for scheme in [RankScheme::Diagonal, RankScheme::XOrder, RankScheme::NodeId] {
+            for faults in [None, Some(fixture_fault_plan(n))] {
+                let what = format!("n={n} {scheme:?} faulted={}", faults.is_some());
+                let base_cfg = RenderCfg {
+                    protocol: Protocol::Nnt(scheme),
+                    radius: None,
+                    faults: faults.clone(),
+                    repair: false,
+                    shards: 1,
+                    instance: None,
+                    fixture_compat: false,
+                };
+                let (base, _) = render(&pts, &base_cfg);
+                let (warm, _) = render(
+                    &pts,
+                    &RenderCfg {
+                        instance: Some(&inst),
+                        faults,
+                        ..base_cfg.clone()
+                    },
+                );
+                assert!(base.lines().count() > 20, "{what}: empty render");
+                for (k, (a, b)) in base.lines().zip(warm.lines()).enumerate() {
+                    assert_eq!(a, b, "{what}: line {k}");
+                }
+                assert_eq!(base.lines().count(), warm.lines().count(), "{what}");
+            }
+        }
+        assert_eq!(inst.topology_cache_stats().misses, 0, "n={n}");
+    }
 }
 
 proptest! {
