@@ -11,9 +11,9 @@
 //!
 //! * [`ExecEnv::stage`] runs one orchestrated step (a GHS discover pass, a
 //!   phase loop, a convergecast) against the shared network;
-//! * [`ExecEnv::run_nodes`] runs one reactive step (a [`NodeProtocol`]
-//!   fleet: NNT probe ladder, BFS flood, election flood) under whichever
-//!   MAC layer the run is configured with.
+//! * [`ExecEnv::run_nodes_tolerant`] runs one reactive step (a
+//!   [`NodeProtocol`] fleet: NNT probe ladder, BFS flood, election flood)
+//!   under whichever MAC layer the run is configured with.
 //!
 //! Around every stage the runtime snapshots the network counters and
 //! publishes the difference as a [`StageMark`]: per-stage
@@ -200,19 +200,18 @@ impl<'a> ExecEnv<'a> {
             .track_awake();
     }
 
-    /// Registers a pre-built shared topology (the instance-reuse fast
-    /// path): stages that cache the adjacency at its radius reuse the
-    /// build instead of repeating it. See
-    /// [`RadioNet::install_topology`](emst_radio::RadioNet::install_topology).
-    pub fn install_topology(&mut self, topo: std::sync::Arc<emst_radio::Topology>) {
+    /// Fetches the run's rows from `rows` instead of the network's own
+    /// cache (the instance-reuse path). See
+    /// [`RadioNet::lend_rows`](emst_radio::RadioNet::lend_rows).
+    pub fn lend_rows(&mut self, rows: &'a emst_radio::RowCache) {
         self.net
             .as_mut()
             .expect("network is held by a stage")
-            .install_topology(topo);
+            .lend_rows(rows);
     }
 
-    /// Builds (or reuses) the cached adjacency at `radius` — call before
-    /// stages that query neighbourhoods at a fixed radius.
+    /// Fetches the rows at `radius` from the run's row cache — call
+    /// before stages that query neighbourhoods at a fixed radius.
     pub fn cache_topology(&mut self, radius: f64) {
         self.net
             .as_mut()
@@ -242,32 +241,11 @@ impl<'a> ExecEnv<'a> {
 
     /// Runs a reactive [`NodeProtocol`] fleet as one stage, under the
     /// run's configured MAC layer (contended or collision-free) — the
-    /// single home of the engine construction dance. Returns the nodes
-    /// (also on failure: faulted protocols salvage partial results from
-    /// them) and the engine verdict.
-    pub fn run_nodes<P: NodeProtocol>(
-        &mut self,
-        scope: &'static str,
-        name: &'static str,
-        nodes: Vec<P>,
-        max_rounds: u64,
-    ) -> (Vec<P>, Result<u64, RunError>) {
-        let net = self.net.take().expect("network is held by a stage");
-        let before = StatSnapshot::capture(&net);
-        let mut eng = match self.contention {
-            Some(cfg) => SyncEngine::with_contention(net, nodes, cfg),
-            None => SyncEngine::new(net, nodes),
-        };
-        let run_res = eng.try_run(max_rounds);
-        let (net, nodes) = eng.into_parts();
-        self.net = Some(net);
-        self.seal(before, scope, name);
-        (nodes, run_res.map_err(RunError::from))
-    }
-
-    /// Like [`ExecEnv::run_nodes`], but applies the uniform tolerance for
-    /// fault-starved schedules: under an active fault plan a round-limit
-    /// overrun is a degraded partial result, not an error.
+    /// single home of the engine construction dance — and applies the
+    /// uniform tolerance for fault-starved schedules: under an active
+    /// fault plan a round-limit overrun is a degraded partial result, not
+    /// an error. Returns the nodes, which faulted protocols salvage
+    /// partial results from.
     pub fn run_nodes_tolerant<P: NodeProtocol>(
         &mut self,
         scope: &'static str,

@@ -313,13 +313,13 @@ pub struct GhsEngine {
     /// Restricted modified runs keep only the memoised candidate; faulty
     /// modified runs scan from the row head (see [`GhsEngine::moe_cached`]).
     moe_state: Vec<MoeSlot>,
-    /// Original variant: one reject bit per directed sorted-row entry,
-    /// entry `k` of `u`'s row at bit `Topology::row_offset(u) + k`. A
-    /// reject sets the rejecting node's bit, and under a fault plan the
-    /// peer's too; without one the peer reads the rejecting node's cursor
-    /// instead ([`GhsEngine::local_moe_original`]). [`GhsEngine::discover`]
-    /// rejects up front every entry that touches a departed id and, under
-    /// a fault plan, every entry whose hello was not delivered.
+    /// Original variant under a fault plan: one reject bit per directed
+    /// sorted-row entry, entry `k` of `u`'s row at bit
+    /// `Topology::row_offset(u) + k`. A reject sets the bits of both
+    /// sides, and [`GhsEngine::discover`] rejects up front every entry
+    /// that touches a departed id or whose hello was not delivered. Empty
+    /// without a plan: a node's rejects then lie behind its own cursor,
+    /// and the peer reads that cursor ([`GhsEngine::local_moe_original`]).
     rejected: Vec<u64>,
     /// Faulty modified runs: each sorted-row entry's cached fragment id
     /// (§V-A), at the same flat position as a reject bit; `UNHEARD` where
@@ -621,10 +621,10 @@ impl GhsEngine {
     /// edges.
     ///
     /// Every run searches the topology's shared sorted rows — with
-    /// departures, the original variant rejects every entry that touches
-    /// a departed id up front — except fault-free restricted runs of the
-    /// modified variants, which read each visited node's topology row on
-    /// demand. Under a fault plan each hello is a one-shot broadcast that
+    /// departures, the original variant skips every entry that touches a
+    /// departed id — except fault-free restricted runs of the modified
+    /// variants, which read each visited node's topology row on demand.
+    /// Under a fault plan each hello is a one-shot broadcast that
     /// can miss some receivers, so a node may hear a neighbour that never
     /// heard it: a delivered hello clears the receiver's reject bit for
     /// the sender (original variant) or caches the sender's fragment id
@@ -658,20 +658,22 @@ impl GhsEngine {
     }
 
     /// Resets the MOE search at `self.radius`: every slot unscanned, no
-    /// fragment exhausted, and the per-entry state of the hello round at
-    /// the current clock. Clean modified runs read live fragment ids
-    /// directly (announces keep the §V-A caches *exact* here — every
+    /// fragment exhausted, and, under a fault plan, the per-entry state
+    /// of the hello round at the current clock. Without a plan no
+    /// per-entry state is kept: clean modified runs read live fragment
+    /// ids directly (announces keep the §V-A caches *exact* here — every
     /// row-holder is in announce range — so the cache IS the live id), and
-    /// clean all-live original runs start with no reject marks. Otherwise
-    /// every entry starts hidden — rejected (original variant) or
-    /// `UNHEARD` (faulty modified runs) — and opens when its id's hello
-    /// reaches the row's owner: departed ids neither send nor hear, so a
-    /// departed node's scan finds nothing, and under a plan a hello is lost
-    /// to a down sender or a drop coin. The coins are stateless, so this is
-    /// the delivery the hello round draws. The sorted view is forced now
-    /// so phase timings don't absorb the one-time build; with an
-    /// instance-cached topology it is already built. Restricted modified
-    /// runs read rows on demand and build nothing here.
+    /// original runs read departures and cursors
+    /// ([`GhsEngine::local_moe_original`]). Under a plan every entry
+    /// starts hidden — rejected (original variant) or `UNHEARD` (modified
+    /// variants) — and opens when its id's hello reaches the row's owner:
+    /// departed ids neither send nor hear, so a departed node's scan finds
+    /// nothing, and a hello is lost to a down sender or a drop coin. The
+    /// coins are stateless, so this is the delivery the hello round draws.
+    /// The sorted view is forced now so phase timings don't absorb the
+    /// one-time build; with an instance's rows it may already be built.
+    /// Restricted modified runs read rows on demand and build nothing
+    /// here.
     fn reset_search(&mut self, net: &mut RadioNet<'_>) {
         self.moe_state.clear();
         self.moe_state.resize(self.n, MoeSlot::UNSCANNED);
@@ -685,19 +687,15 @@ impl GhsEngine {
         net.cache_topology(self.radius);
         let topo = net.topology_at(self.radius).expect("cached above");
         let _ = topo.sorted();
-        let (modified, faulty) = (self.variant.is_modified(), self.retries.is_some());
-        if modified && !faulty {
+        if self.retries.is_none() {
             return;
         }
-        let words = topo.directed_edges().div_ceil(64);
-        if !faulty && !has_departures(net) {
-            self.rejected.resize(words, 0);
-            return;
-        }
+        let modified = self.variant.is_modified();
         if modified {
             self.frag_cache.resize(topo.directed_edges(), UNHEARD);
         } else {
-            self.rejected.resize(words, u64::MAX);
+            self.rejected
+                .resize(topo.directed_edges().div_ceil(64), u64::MAX);
         }
         let round = net.clock().now();
         for v in (0..self.n).filter(|&v| !net.departed(v)) {
@@ -730,8 +728,8 @@ impl GhsEngine {
     /// detected by lease expiry — silence costs no transmissions. It
     /// resets the MOE slots and the exhausted-fragment set. For the
     /// modified variants it builds nothing (rows are read on demand); for
-    /// the original variant it caches the topology and rejects its
-    /// departed entries. The network must carry the departures
+    /// the original variant it caches the topology, whose departed
+    /// entries the search skips. The network must carry the departures
     /// (`RadioNet::set_members`) and no fault plan.
     pub fn restore_neighbor_caches(&mut self, net: &mut RadioNet<'_>, radius: f64) {
         assert!(radius > 0.0, "restore radius must be positive");
@@ -1028,27 +1026,26 @@ impl GhsEngine {
     /// sorted row in ascending `(dist, id)` order with test/accept/reject
     /// exchanges. Returns the candidate and the number of exchanges.
     ///
-    /// Reject marks are bits of `rejected`; [`GhsEngine::discover`] sets
-    /// them up front, on both sides, on every entry that touches a
-    /// departed id or, under a fault plan, whose hello was not delivered.
-    /// A reject sets the bit of `u`'s entry, and the slot cursor resumes
-    /// past the node's rejected prefix. A fault-free exchange is charged at
+    /// The slot cursor resumes past the node's rejected prefix, and a
+    /// departed node finds nothing. A fault-free exchange is charged at
     /// the row distance, bit-for-bit the `pos(u).dist(pos(v))` either
     /// direction would evaluate.
     ///
     /// Without a plan, every reject moves the rejecting node's cursor past
     /// the entry, and every entry behind a cursor is rejected: so `u`'s
-    /// entry `(w, v)` counts as rejected when its bit is set or when
+    /// entry `(w, v)` counts as rejected when `v` departed or when
     /// `(w, u)` lies behind `v`'s cursor, which `v`'s slot answers from
-    /// the key under it with no search of `v`'s row. Under a plan three
-    /// rules apply: each exchange goes through
-    /// [`GhsEngine::reliable_unicast`]; a lost exchange counts toward the
-    /// stage's rounds, leaves its entry open and the scan moves on (the
-    /// entry is tested again next phase); and the cursor never passes an
-    /// open entry. A cursor then stops short of later rejects and a lost
-    /// hello hides an edge from one side only, so a reject also sets the
-    /// bit of `v`'s entry for `u` ([`sorted_slot`]) and no peer cursor is
-    /// read.
+    /// the key under it with no search of `v`'s row; a reject writes
+    /// nothing. Under a plan, reject marks are bits of `rejected`, which
+    /// [`GhsEngine::discover`] sets up front on every entry whose hello
+    /// was not delivered, and three rules apply: each exchange goes
+    /// through [`GhsEngine::reliable_unicast`]; a lost exchange counts
+    /// toward the stage's rounds, leaves its entry open and the scan moves
+    /// on (the entry is tested again next phase); and the cursor never
+    /// passes an open entry. A cursor then stops short of later rejects
+    /// and a lost hello hides an edge from one side only, so a reject sets
+    /// the bits of both `u`'s entry and `v`'s entry for `u`
+    /// ([`sorted_slot`]) and no peer cursor is read.
     fn local_moe_original(
         &mut self,
         net: &mut RadioNet<'_>,
@@ -1056,6 +1053,9 @@ impl GhsEngine {
         u: usize,
         kinds: &GhsKinds,
     ) -> (Option<Cand>, u64) {
+        if net.departed(u) {
+            return (None, 0);
+        }
         let my = self.frag[u];
         let (ids, dists) = (topo.sorted_ids(u), topo.sorted_dists(u));
         let base = topo.row_offset(u);
@@ -1066,8 +1066,11 @@ impl GhsEngine {
         let mut k = self.moe_state[u].cursor as usize;
         while k < ids.len() {
             let (v, w) = (ids[k], dists[k]);
-            let rejected = bit(&self.rejected, base + k)
-                || (!faulty && self.moe_state[v as usize].passed(w, u as u32));
+            let rejected = if faulty {
+                bit(&self.rejected, base + k)
+            } else {
+                net.departed(v as usize) || self.moe_state[v as usize].passed(w, u as u32)
+            };
             if !rejected {
                 exchanges += 1;
                 let through = if faulty {
@@ -1085,13 +1088,11 @@ impl GhsEngine {
                 } else if self.frag[v as usize] != my {
                     found = Some(Cand { w, u: u as u32, v });
                     break;
-                } else {
-                    // Reject, permanently.
+                } else if faulty {
+                    // Reject, permanently, on both sides.
                     set_bit(&mut self.rejected, base + k);
-                    if faulty {
-                        let back = sorted_slot(topo, v as usize, w, u as u32);
-                        set_bit(&mut self.rejected, topo.row_offset(v as usize) + back);
-                    }
+                    let back = sorted_slot(topo, v as usize, w, u as u32);
+                    set_bit(&mut self.rejected, topo.row_offset(v as usize) + back);
                 }
             }
             k += 1;
@@ -2418,18 +2419,19 @@ mod tests {
     }
 
     /// The original variant's reject state over the shared sorted rows,
-    /// with the hellos of `hello_round` recomputed from the network. An
-    /// entry counts as rejected when its bit is set or, without a plan,
-    /// when the peer's entry for the row's owner lies behind the peer's
-    /// cursor. Then: an entry whose hello never reached the row's owner (it
-    /// touches a departed id, or a plan lost it) has its bit set; any other
-    /// rejected entry joins two nodes of one fragment; every entry before a
-    /// node's cursor is rejected, so the cursor never passes a lost test
+    /// with the hellos of `hello_round` recomputed from the network.
+    /// Without a plan an entry counts as rejected when either endpoint
+    /// departed or it lies behind either node's cursor (the engine keeps
+    /// no reject bits then); under one, when its bit is set. Then: an
+    /// entry whose hello never reached the row's owner (it touches a
+    /// departed id, or a plan lost it) is rejected; any other rejected
+    /// entry joins two nodes of one fragment; every entry before a node's
+    /// cursor is rejected, so the cursor never passes a lost test
     /// exchange; each slot holds the key of the entry under its cursor
     /// (`(+∞, u32::MAX)` past the row end; unscanned slots sit at 0).
-    /// Without a plan, u→v counts as rejected exactly when v→u does; under
-    /// one, a rejected entry whose hello was heard has the peer's bit set
-    /// too (the reverse write).
+    /// Without a plan, u→v counts as rejected exactly when v→u does;
+    /// under one, a rejected entry whose hello was heard has the peer's
+    /// bit set too (the reverse write).
     fn check_rejects(
         eng: &GhsEngine,
         topo: &Topology,
@@ -2450,10 +2452,18 @@ mod tests {
                 .expect("rows are symmetric")
         };
         let clean = eng.retries.is_none();
+        assert!(
+            !clean || eng.rejected.is_empty(),
+            "{ctx}: a run without a plan keeps a reject slab"
+        );
+        let behind = |a: usize, k: usize| k < eng.moe_state[a].cursor as usize;
         // Entry `k` of `a`'s row, which holds `b`.
         let counts = |a: usize, k: usize, b: usize| {
-            bit(&eng.rejected, topo.row_offset(a) + k)
-                || (clean && pos(b, a) < eng.moe_state[b].cursor as usize)
+            if clean {
+                net.departed(a) || net.departed(b) || behind(a, k) || behind(b, pos(b, a))
+            } else {
+                bit(&eng.rejected, topo.row_offset(a) + k)
+            }
         };
         for u in 0..eng.n {
             let (ids, dists) = (topo.sorted_ids(u), topo.sorted_dists(u));
@@ -2480,10 +2490,7 @@ mod tests {
                     );
                 }
                 if !heard(v, u) {
-                    assert!(
-                        bit(&eng.rejected, topo.row_offset(u) + k),
-                        "{ctx}: unheard entry {v} of {u} not rejected"
-                    );
+                    assert!(rejected, "{ctx}: unheard entry {v} of {u} not rejected");
                 } else if rejected {
                     assert_eq!(
                         eng.frag[u], eng.frag[v],
@@ -2655,9 +2662,13 @@ mod tests {
                     "seed {seed}, {variant:?}"
                 );
                 assert_eq!(
-                    eng.rejected.iter().any(|&w| w != 0),
+                    net.ledger().kind("ghs/test").messages > 0,
                     variant == GhsVariant::Original,
-                    "seed {seed}, {variant:?}: only the original variant rejects"
+                    "seed {seed}, {variant:?}: only the original variant tests"
+                );
+                assert!(
+                    eng.rejected.is_empty(),
+                    "seed {seed}, {variant:?}: a run without a plan keeps a reject slab"
                 );
             }
 

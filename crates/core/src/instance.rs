@@ -1,142 +1,35 @@
 //! Reusable simulation instances: one point set, many runs.
 //!
 //! A benchmark sweep runs dozens of trials against the *same* `(seed, n,
-//! radius)` instance, and every [`Sim::new`](crate::Sim::new) run used to
-//! rebuild the same bucket grid, CSR topology and `(dist, id)`-sorted
-//! rows from scratch — at `n = 10⁵` those rebuilds cost more than the
-//! protocol itself and were the dominant superlinear term in the scale
-//! curve. An [`Instance`] owns the points and memoises the topology
-//! builds behind shared handles, so
-//! [`Sim::from_instance`](crate::Sim::from_instance) runs start with the
-//! adjacency (and its lazily-built sorted view) already warm.
+//! radius)` instance. An [`Instance`] owns the points and a
+//! [`RowCache`] of their topology rows, which
+//! [`Sim::from_instance`](crate::Sim::from_instance) lends to every run:
+//! a run fetches its rows from that cache exactly as a
+//! [`Sim::new`](crate::Sim::new) run fetches them from its own, so the
+//! two entry points differ only in how long the cache lives. The first
+//! run over an instance builds the rows (and their lazily built sorted
+//! view); later runs find them warm.
 //!
-//! **Determinism.** An installed topology is byte-for-byte the build the
-//! run would have produced itself: same grid cell size (the run's
-//! operating radius), same visit order, same row bits. Ledgers, traces
-//! and stage marks are therefore bit-identical between
-//! `Sim::new(points)` and `Sim::from_instance(&inst)` runs — the
-//! instance only moves the build out of the timed run and shares it.
-//!
-//! **One scan per grid.** Rows at a smaller radius on a grid (EOPT's
-//! step 1 at `r1` on the `r2` grid) are not built: they are restricted
-//! from that grid's own rows ([`Topology::restrict`]), which is the same
-//! topology bit for bit, sorted view included.
+//! **Determinism.** The cache keys rows by the run's grid radius as well
+//! as their own: same grid cell size, same visit order, same row bits.
+//! Ledgers, traces and stage marks are therefore bit-identical between
+//! `Sim::new(points)` and `Sim::from_instance(&inst)` runs.
 
-use emst_geom::{mix_seed, trial_rng, uniform_points, BucketGrid, Point};
-use emst_radio::Topology;
+use emst_geom::{mix_seed, trial_rng, uniform_points, Point};
+use emst_radio::{CacheStats, Lru, RowCache, Topology};
 use std::sync::{Arc, Mutex};
 
-/// Capacity of the per-instance topology cache. A run needs at most two
-/// entries (EOPT's two radii, the smaller restricted from the larger's
-/// rows rather than built), and a paper sweep trial running GHS, EOPT and
-/// Co-NNT over one instance holds those two (Co-NNT installs no rows);
-/// four leaves headroom for a caller mixing radii over one instance
-/// before LRU eviction kicks in.
-const TOPOLOGY_CACHE_CAPACITY: usize = 4;
-
-/// Counters of one bounded cache: how often it answered from memory, how
-/// often it had to build, and how many entries the bound pushed out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests answered by an existing entry.
-    pub hits: u64,
-    /// Requests that had to build (and insert) a fresh entry.
-    pub misses: u64,
-    /// Entries evicted by the capacity bound.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub len: usize,
-    /// The capacity bound.
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Fraction of requests served from memory (0 when nothing was
-    /// requested yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// The bounded, most-recently-used-first store behind both caches of this
-/// module, with their lifetime counters. Entries are kept in recency
-/// order: a hit moves its entry to the front, an insert beyond capacity
-/// evicts the back (the least recently used key).
-struct Lru<K, V> {
-    capacity: usize,
-    entries: Vec<(K, V)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl<K: PartialEq, V: Clone> Lru<K, V> {
-    fn new(capacity: usize) -> Self {
-        Lru {
-            capacity,
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The value for `key`, moved to the front; counts a hit.
-    fn hit(&mut self, key: &K) -> Option<V> {
-        let at = self.entries.iter().position(|(k, _)| k == key)?;
-        self.hits += 1;
-        let entry = self.entries.remove(at);
-        let value = entry.1.clone();
-        self.entries.insert(0, entry);
-        Some(value)
-    }
-
-    /// Inserts a fresh entry at the front, evicting the least recently
-    /// used one beyond capacity; counts a miss.
-    fn insert(&mut self, key: K, value: V) {
-        self.misses += 1;
-        self.entries.insert(0, (key, value));
-        if self.entries.len() > self.capacity {
-            self.entries.pop();
-            self.evictions += 1;
-        }
-    }
-
-    /// Lifetime counters plus current occupancy.
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.entries.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-/// [`Instance`]'s topology memoisation, keyed by `(grid radius, row
-/// radius)` bits.
-type TopoCache = Lru<(u64, u64), Arc<Topology>>;
-
-/// A point set plus memoised topology builds, shared across runs.
+/// A point set plus its cached topology rows, shared across runs.
 ///
-/// Cheap to share by reference; the topology cache is internally
+/// Cheap to share by reference; the row cache is internally
 /// synchronised, so parallel sweep workers can run trials off one
-/// instance. The cache is *bounded* (`TOPOLOGY_CACHE_CAPACITY` entries,
+/// instance. The cache is *bounded* ([`RowCache::CAPACITY`] entries,
 /// LRU eviction): a long-lived process sweeping many radii over one
-/// instance holds a fixed number of adjacency builds, not one per radius
-/// it ever touched.
+/// instance holds a fixed number of row sets, not one per radius it ever
+/// touched.
 pub struct Instance {
     points: Vec<Point>,
-    /// Bounded memoised builds keyed by `(grid radius, row radius)` —
-    /// exact f64 bits, since every caller derives radii through the same
-    /// expressions.
-    topos: Mutex<TopoCache>,
+    rows: RowCache,
 }
 
 impl Instance {
@@ -144,7 +37,7 @@ impl Instance {
     pub fn new(points: Vec<Point>) -> Self {
         Instance {
             points,
-            topos: Mutex::new(Lru::new(TOPOLOGY_CACHE_CAPACITY)),
+            rows: RowCache::new(),
         }
     }
 
@@ -170,10 +63,16 @@ impl Instance {
         self.points.len()
     }
 
+    /// The row cache every run over this instance fetches its rows from.
+    #[inline]
+    pub(crate) fn row_cache(&self) -> &RowCache {
+        &self.rows
+    }
+
     /// Appends a point (a node joining the universe) and returns its id.
-    /// Every memoised topology build is invalidated: the cached rows
-    /// cover the old point set, and a stale adjacency handed to a run
-    /// would silently hide the new node from every neighbourhood query.
+    /// Every cached row set is invalidated: the cached rows cover the old
+    /// point set, and a stale adjacency handed to a run would silently
+    /// hide the new node from every neighbourhood query.
     pub fn push_point(&mut self, p: Point) -> usize {
         self.points.push(p);
         self.invalidate();
@@ -181,72 +80,38 @@ impl Instance {
     }
 
     /// Overwrites the position of node `u` (a node moving), invalidating
-    /// the memoised topology builds.
+    /// the cached rows.
     pub fn update_point(&mut self, u: usize, p: Point) {
         self.points[u] = p;
         self.invalidate();
     }
 
-    /// Drops every memoised topology build. Called by the mutating
-    /// methods above; also available to callers that mutate positions in
-    /// bulk through other means. Counters survive invalidation — they
-    /// describe the cache's lifetime, not its current contents.
+    /// Drops every cached row set. Called by the mutating methods above;
+    /// also available to callers that mutate positions in bulk through
+    /// other means. Counters survive invalidation — they describe the
+    /// cache's lifetime, not its current contents.
     pub fn invalidate(&mut self) {
-        self.topos
-            .get_mut()
-            .expect("instance cache poisoned")
-            .entries
-            .clear();
+        self.rows.clear();
     }
 
-    /// Shared topology at `radius`, built on first request (grid cell
-    /// size = `radius`, matching a run whose operating radius is
-    /// `radius`).
+    /// Shared topology at `radius` over a grid sized for `radius` — the
+    /// rows a run whose operating radius is `radius` fetches.
     pub fn topology(&self, radius: f64) -> Arc<Topology> {
         self.topology_with_grid(radius, radius)
     }
 
     /// Shared topology with rows at `radius` over a bucket grid sized for
-    /// `grid_radius` — the exact build a run operating at `grid_radius`
-    /// performs when it caches the adjacency at `radius`. Rows are in
-    /// grid visit order, so the grid cell size is part of the cache key:
-    /// EOPT's step-1 rows (radius `r1` on an `r2`-sized grid) differ in
-    /// *order* from a standalone `r1` build, and order is
-    /// determinism-bearing.
-    ///
-    /// A `radius` below `grid_radius` is restricted from the grid's own
-    /// rows (`topology_with_grid(grid_radius, grid_radius)`, fetched or
-    /// built and cached too) instead of scanning a second grid.
-    ///
-    /// The build happens under the cache lock, so concurrent first
-    /// requests for one key perform exactly one build and everyone gets
-    /// the same [`Arc`].
+    /// `grid_radius` — the rows a run operating at `grid_radius` fetches
+    /// at `radius` (see [`RowCache::rows`]). EOPT's step-1 rows (radius
+    /// `r1` on an `r2`-sized grid) differ in *order* from a standalone
+    /// `r1` build, and order is determinism-bearing.
     pub fn topology_with_grid(&self, grid_radius: f64, radius: f64) -> Arc<Topology> {
-        let mut cache = self.topos.lock().expect("instance cache poisoned");
-        self.cached(&mut cache, grid_radius, radius)
+        self.rows.rows(&self.points, None, grid_radius, radius)
     }
 
-    /// [`Instance::topology_with_grid`] under the held cache lock.
-    fn cached(&self, cache: &mut TopoCache, grid_radius: f64, radius: f64) -> Arc<Topology> {
-        let key = (grid_radius.to_bits(), radius.to_bits());
-        if let Some(t) = cache.hit(&key) {
-            return t;
-        }
-        let t = if radius < grid_radius {
-            let rows = self.cached(cache, grid_radius, grid_radius);
-            Arc::new(rows.restrict(&self.points, radius))
-        } else {
-            let grid = BucketGrid::for_radius(&self.points, grid_radius);
-            Arc::new(Topology::build(&grid, radius))
-        };
-        cache.insert(key, t.clone());
-        t
-    }
-
-    /// Lifetime hit/miss/eviction counters of this instance's topology
-    /// cache.
+    /// Lifetime hit/miss/eviction counters of this instance's row cache.
     pub fn topology_cache_stats(&self) -> CacheStats {
-        self.topos.lock().expect("instance cache poisoned").stats()
+        self.rows.stats()
     }
 }
 
@@ -283,11 +148,11 @@ impl InstanceKey {
 /// service.
 ///
 /// Replaces the pattern of regenerating points and topology per request:
-/// a hit hands back the shared [`Arc<Instance>`] whose memoised topology
-/// is already warm, so repeated requests for one parameter point pay only
+/// a hit hands back the shared [`Arc<Instance>`] whose cached rows are
+/// already warm, so repeated requests for one parameter point pay only
 /// the protocol run. Generation happens under the cache lock — N
 /// concurrent first requests for one key perform exactly one generation
-/// (and, via [`Instance`]'s own lock, one topology build), so the hit
+/// (and, via the instance's [`RowCache`] lock, one row build), so the hit
 /// counter reads `N − 1`.
 pub struct InstanceCache {
     inner: Mutex<Lru<InstanceKey, Arc<Instance>>>,
@@ -328,6 +193,7 @@ impl InstanceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emst_geom::BucketGrid;
 
     #[test]
     fn generate_matches_the_runner_stream() {
@@ -427,21 +293,21 @@ mod tests {
     fn topology_cache_is_bounded_and_lru() {
         let inst = Instance::generate(11, 30, 0);
         // Fill to capacity, oldest first.
-        for i in 0..TOPOLOGY_CACHE_CAPACITY {
+        for i in 0..RowCache::CAPACITY {
             let _ = inst.topology(0.1 + 0.05 * i as f64);
         }
         // Touch the oldest entry so it is no longer the eviction victim.
         let refreshed = inst.topology(0.1);
         let s = inst.topology_cache_stats();
-        assert_eq!(s.misses, TOPOLOGY_CACHE_CAPACITY as u64);
+        assert_eq!(s.misses, RowCache::CAPACITY as u64);
         assert_eq!(s.hits, 1);
         assert_eq!(s.evictions, 0);
-        assert_eq!(s.len, TOPOLOGY_CACHE_CAPACITY);
+        assert_eq!(s.len, RowCache::CAPACITY);
         // One more key evicts the LRU entry (0.15), not the refreshed one.
         let _ = inst.topology(0.9);
         let s = inst.topology_cache_stats();
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.len, TOPOLOGY_CACHE_CAPACITY);
+        assert_eq!(s.len, RowCache::CAPACITY);
         assert!(
             Arc::ptr_eq(&refreshed, &inst.topology(0.1)),
             "refreshed entry must survive the eviction"

@@ -4,10 +4,10 @@
 //! Distributed Algorithms for Minimum Spanning Trees* (Choi, Khan, Kumar,
 //! Pandurangan; SPAA'08 / IEEE JSAC'09), over the `emst-radio` simulator:
 //!
-//! * [`discovery`] — the initial hello broadcast through which nodes learn
-//!   neighbour distances (§II denies them a-priori edge weights);
 //! * [`ghs`] — synchronous GHS in the **original** (test/accept/reject)
-//!   and **modified** (§V-A neighbour-cache) variants; the original at the
+//!   and **modified** (§V-A neighbour-cache) variants, each opening with
+//!   the hello broadcast through which nodes learn neighbour distances
+//!   (§II denies them a-priori edge weights); the original at the
 //!   connectivity radius is the paper's `Θ(log² n)`-energy baseline;
 //! * [`eopt`] — the **two-step energy-optimal algorithm** of §V:
 //!   percolation-radius GHS, giant detection, connectivity-radius GHS with
@@ -25,7 +25,6 @@
 //! observability.
 
 pub mod bfs_tree;
-pub mod discovery;
 pub mod election;
 pub mod eopt;
 pub mod exec;
@@ -37,11 +36,11 @@ pub mod repair;
 pub mod sim;
 
 pub use bfs_tree::BfsNode;
-pub use discovery::{discover, discover_reactive, HelloProtocol, Neighbor, NeighborTable};
+pub use emst_radio::CacheStats;
 pub use eopt::EoptConfig;
 pub use exec::ExecEnv;
 pub use ghs::{GhsEngine, GhsKinds, GhsVariant};
-pub use instance::{CacheStats, Instance, InstanceCache, InstanceKey};
+pub use instance::{Instance, InstanceCache, InstanceKey};
 pub use maintain::{
     maintain, ChurnEvent, ChurnTimeline, EpochReport, MaintainReport, MaintainSession,
     MaintainStrategy, SessionLedger,

@@ -552,17 +552,14 @@ impl<'a> Sim<'a> {
     }
 
     /// Starts a run description over a reusable [`crate::Instance`]: the
-    /// instance's memoised topology builds (CSR adjacency, sorted rows)
-    /// are installed on the run's network, so repeated runs over one
-    /// instance skip the per-run rebuild entirely. Results are
-    /// bit-identical to [`Sim::new`] over the same points — the instance
-    /// performs the exact build the run would have, just once.
-    ///
-    /// Rows are installed only for the protocols that cache rows
-    /// themselves (GHS, EOPT, BFS and the elections). Co-NNT caches none
-    /// in a [`Sim::new`] run, so through an instance it builds none
-    /// either and its probes query the grid: cached rows equal those
-    /// queries, in order, so the run is the same bit for bit.
+    /// run fetches its rows from the instance's row cache instead of a
+    /// cache of its own, so repeated runs over one instance build each
+    /// row set once. A run fetches rows only at the radii it caches
+    /// (none for Co-NNT), on first use, so the two entry points ask for
+    /// the same rows in the same order. Results are bit-identical to
+    /// [`Sim::new`] over the same points: the cache keys rows by the
+    /// run's grid radius, so they are the rows the run's own cache would
+    /// have made.
     pub fn from_instance(instance: &'a crate::Instance) -> Self {
         let mut sim = Sim::new(instance.points());
         sim.instance = Some(instance);
@@ -826,15 +823,8 @@ impl<'a> Sim<'a> {
         if awake || matches!(protocol, Protocol::Ghs(GhsVariant::LowAwake)) {
             env.track_awake();
         }
-        if let Some(inst) = instance.filter(|_| !matches!(protocol, Protocol::Nnt(_))) {
-            // Prewarm every radius the run will cache. The network's grid
-            // is sized for `max_radius`, and topology rows are in grid
-            // visit order, so builds at a smaller radius (EOPT step 1)
-            // must come off the same-sized grid to stay bit-identical.
-            if let Protocol::Eopt(cfg) = &protocol {
-                env.install_topology(inst.topology_with_grid(max_radius, cfg.radius1(n.max(2))));
-            }
-            env.install_topology(inst.topology(max_radius));
+        if let Some(inst) = instance {
+            env.lend_rows(inst.row_cache());
         }
         let result: Result<(SpanningTree, Detail), RunError> = match protocol {
             Protocol::Ghs(variant) => {

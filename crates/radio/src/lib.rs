@@ -13,6 +13,7 @@
 //!   ([`SyncEngine`] / [`NodeProtocol`]).
 
 pub mod availability;
+pub mod cache;
 pub mod contention;
 pub mod energy;
 pub mod engine;
@@ -24,6 +25,7 @@ pub mod topology;
 pub mod trace;
 
 pub use availability::{Availability, AwakeStats};
+pub use cache::{CacheStats, Lru, RowCache};
 pub use contention::{ContentionConfig, ContentionOverflow};
 pub use energy::{EnergyLedger, Tally};
 pub use engine::{Ctx, Delivery, EngineError, NodeProtocol, RoundLimitExceeded, SyncEngine};

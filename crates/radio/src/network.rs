@@ -14,6 +14,7 @@
 //!   count since energy is size-independent in the model.
 
 use crate::availability::{Availability, AwakeStats};
+use crate::cache::RowCache;
 use crate::energy::EnergyLedger;
 use crate::fault::{FaultKind, FaultPlan, FaultStats};
 use crate::membership::Membership;
@@ -133,15 +134,16 @@ pub struct RadioNet<'a> {
     points: &'a [Point],
     config: EnergyConfig,
     grid: BucketGrid<'a>,
-    /// Cached CSR adjacency at one operating radius (see
-    /// [`RadioNet::cache_topology`]); `None` until a protocol opts in.
-    /// Behind an `Arc` so an [`RadioNet::install_topology`] caller (the
-    /// instance-reuse API) can share one build across many runs.
+    /// The radius `grid` was sized for: with the row radius, the key of
+    /// the rows in `rows`.
+    grid_radius: f64,
+    /// The rows at the run's current operating radius, fetched from
+    /// `rows` (see [`RadioNet::cache_topology`]); `None` until a protocol
+    /// opts in.
     topo: Option<std::sync::Arc<Topology>>,
-    /// Pre-built topologies registered by [`RadioNet::install_topology`];
-    /// consulted by [`RadioNet::cache_topology`] before building, so a
-    /// run that switches radii (EOPT) can have every radius prewarmed.
-    prewarmed: Vec<std::sync::Arc<Topology>>,
+    /// Where the rows come from: the network's own cache, or one the
+    /// caller lent it ([`RadioNet::lend_rows`]).
+    rows: Rows<'a>,
     ledger: EnergyLedger,
     clock: Clock,
     sink: Option<&'a mut dyn TraceSink>,
@@ -199,8 +201,9 @@ impl<'a> RadioNet<'a> {
             points,
             config,
             grid: BucketGrid::for_radius(points, max_query_radius),
+            grid_radius: max_query_radius,
             topo: None,
-            prewarmed: Vec::new(),
+            rows: Rows::Own(RowCache::new()),
             ledger: EnergyLedger::new(),
             clock: Clock::default(),
             sink: None,
@@ -454,43 +457,37 @@ impl<'a> RadioNet<'a> {
         &mut self.clock
     }
 
-    /// Builds (or reuses) the cached CSR adjacency at `radius`. Fixed-radius
-    /// protocols call this once up front; every subsequent neighbour query
-    /// or broadcast at a bitwise-equal radius is then a slice lookup
-    /// instead of a grid scan. A second call with the same radius is free.
+    /// Fetches the rows at `radius` from the network's row cache (see
+    /// [`RadioNet::lend_rows`]). Fixed-radius protocols call this once up
+    /// front; every subsequent neighbour query or broadcast at that radius
+    /// (see [`RadioNet::topology_at`]) is then a slice lookup instead of a
+    /// grid scan. A second call with the same radius is free.
     ///
-    /// The cached rows are in grid visit order — identical content and
-    /// order to a live [`BucketGrid`] query — so switching a protocol onto
-    /// the cache cannot change its energy ledger or trace.
+    /// The rows are over this network's grid — built by one scan of it,
+    /// or restricted from the grid radius's own rows below that radius —
+    /// and in grid visit order: identical content and order to a live
+    /// [`BucketGrid`] query, so switching a protocol onto them cannot
+    /// change its energy ledger or trace.
     pub fn cache_topology(&mut self, radius: f64) {
-        if self
-            .topo
-            .as_ref()
-            .is_some_and(|t| radius_close(t.radius(), radius))
-        {
+        if self.topology_at(radius).is_some() {
             return;
         }
-        if let Some(t) = self
-            .prewarmed
-            .iter()
-            .find(|t| radius_close(t.radius(), radius))
-        {
-            self.topo = Some(t.clone());
-            return;
-        }
-        self.topo = Some(std::sync::Arc::new(Topology::build(&self.grid, radius)));
+        let cache = match &self.rows {
+            Rows::Own(cache) => cache,
+            Rows::Lent(cache) => cache,
+        };
+        let rows = cache.rows(self.points, Some(&self.grid), self.grid_radius, radius);
+        debug_assert_eq!(rows.n(), self.n(), "rows of another point set");
+        self.topo = Some(rows);
     }
 
-    /// Installs a pre-built shared topology (the instance-reuse fast path):
-    /// subsequent [`RadioNet::cache_topology`] calls at the same radius
-    /// reuse it instead of rebuilding. The rows must describe this
-    /// network's points — [`crate::Topology::build`] over the same
-    /// positions — which `Sim::from_instance` guarantees by construction.
-    pub fn install_topology(&mut self, topo: std::sync::Arc<Topology>) {
-        if self.topo.is_none() {
-            self.topo = Some(topo.clone());
-        }
-        self.prewarmed.push(topo);
+    /// Fetches rows from `rows` instead of the network's own cache: a
+    /// cache that outlives the run, such as an instance's, so later runs
+    /// over the same points find their rows built. The cache must hold
+    /// rows of this network's points, which `Sim::from_instance`
+    /// guarantees by construction.
+    pub fn lend_rows(&mut self, rows: &'a RowCache) {
+        self.rows = Rows::Lent(rows);
     }
 
     /// Shared handle to the cached topology, if one has been built —
@@ -838,6 +835,12 @@ impl<'a> RadioNet<'a> {
     pub fn take_ledger(&mut self) -> EnergyLedger {
         std::mem::take(&mut self.ledger)
     }
+}
+
+/// A network's row cache: its own, or one lent by the caller.
+enum Rows<'a> {
+    Own(RowCache),
+    Lent(&'a RowCache),
 }
 
 /// Whether a cached-topology radius matches a query radius.

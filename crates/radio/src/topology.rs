@@ -307,11 +307,19 @@ mod tests {
 
     /// Both views of `t`, distances as bits.
     fn views(t: &Topology) -> [(Vec<u32>, Vec<u64>); 2] {
-        let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect();
         [
-            (t.nbr.clone(), bits(&t.dist)),
+            base_view(t),
             (t.sorted().ids.clone(), bits(&t.sorted().dists)),
         ]
+    }
+
+    /// The rows' ids and distance bits, in visit order.
+    fn base_view(t: &Topology) -> (Vec<u32>, Vec<u64>) {
+        (t.nbr.clone(), bits(&t.dist))
+    }
+
+    fn bits(d: &[f64]) -> Vec<u64> {
+        d.iter().map(|d| d.to_bits()).collect()
     }
 
     /// The sorted view by a `(total_cmp, id)` comparison sort of each row,
@@ -426,11 +434,22 @@ mod tests {
                         restricted.offsets, built.offsets,
                         "n {n} seed {seed} r {r:e}"
                     );
-                    assert_eq!(
-                        views(&restricted),
-                        views(&built),
-                        "n {n} seed {seed} r {r:e}"
-                    );
+                    // A sorted view is a function of its rows, which
+                    // `sorted_view_equals_a_comparison_sort` checks: at
+                    // n = 20 000 equal rows settle it, unsorted.
+                    if n <= 2000 {
+                        assert_eq!(
+                            views(&restricted),
+                            views(&built),
+                            "n {n} seed {seed} r {r:e}"
+                        );
+                    } else {
+                        assert_eq!(
+                            base_view(&restricted),
+                            base_view(&built),
+                            "n {n} seed {seed} r {r:e}"
+                        );
+                    }
                 }
             }
         }

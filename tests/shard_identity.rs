@@ -16,8 +16,10 @@
 //!    exceeding `n`), fault plans and both entry points
 //!    ([`Sim::new`] vs [`Sim::from_instance`]) all agree bit-for-bit.
 //!
-//! Co-NNT, which no shard count touches, is pinned across the two entry
-//! points on its own.
+//! The protocols no shard count touches (Co-NNT, GHS original and
+//! low-awake, BFS, the elections) are pinned across the two entry points
+//! on their own, and so are the row lookups each run makes through an
+//! instance.
 
 use energy_mst::core::{GhsVariant, RankScheme};
 use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
@@ -277,10 +279,50 @@ fn repaired_outcome_is_shard_invariant() {
     assert!(repaired_seen, "window must exercise a Repaired outcome");
 }
 
-/// Co-NNT caches no rows in a `Sim::new` run, and `Sim::from_instance`
-/// installs none for it: for every rank scheme, clean and under the
-/// fixture fault plan, both entry points render the same ledger and
-/// trace line by line, and the instance's topology cache never builds.
+/// Renders `cfg` through `Sim::new` and through `Sim::from_instance(inst)`
+/// and asserts that the two agree line by line.
+fn assert_entry_points_agree<'a>(
+    pts: &[Point],
+    inst: &'a Instance,
+    cfg: RenderCfg<'a>,
+    what: &str,
+) {
+    let (base, _) = render(pts, &cfg);
+    let (warm, _) = render(
+        pts,
+        &RenderCfg {
+            instance: Some(inst),
+            ..cfg
+        },
+    );
+    assert!(base.lines().count() > 20, "{what}: empty render");
+    for (k, (a, b)) in base.lines().zip(warm.lines()).enumerate() {
+        assert_eq!(a, b, "{what}: line {k}");
+    }
+    assert_eq!(base.lines().count(), warm.lines().count(), "{what}");
+}
+
+/// The run-wide configuration of one render at one shard, no repair.
+fn plain_cfg<'a>(
+    protocol: Protocol,
+    radius: Option<f64>,
+    faults: Option<FaultPlan>,
+) -> RenderCfg<'a> {
+    RenderCfg {
+        protocol,
+        radius,
+        faults,
+        repair: false,
+        shards: 1,
+        instance: None,
+        fixture_compat: false,
+    }
+}
+
+/// Co-NNT fetches no rows, through either entry point: for every rank
+/// scheme, clean and under the fixture fault plan, both entry points
+/// render the same ledger and trace line by line, and the instance's row
+/// cache never builds.
 #[test]
 fn co_nnt_renders_identically_through_both_entry_points() {
     for n in [60usize, 200, 2000] {
@@ -289,32 +331,75 @@ fn co_nnt_renders_identically_through_both_entry_points() {
         for scheme in [RankScheme::Diagonal, RankScheme::XOrder, RankScheme::NodeId] {
             for faults in [None, Some(fixture_fault_plan(n))] {
                 let what = format!("n={n} {scheme:?} faulted={}", faults.is_some());
-                let base_cfg = RenderCfg {
-                    protocol: Protocol::Nnt(scheme),
-                    radius: None,
-                    faults: faults.clone(),
-                    repair: false,
-                    shards: 1,
-                    instance: None,
-                    fixture_compat: false,
-                };
-                let (base, _) = render(&pts, &base_cfg);
-                let (warm, _) = render(
-                    &pts,
-                    &RenderCfg {
-                        instance: Some(&inst),
-                        faults,
-                        ..base_cfg.clone()
-                    },
-                );
-                assert!(base.lines().count() > 20, "{what}: empty render");
-                for (k, (a, b)) in base.lines().zip(warm.lines()).enumerate() {
-                    assert_eq!(a, b, "{what}: line {k}");
-                }
-                assert_eq!(base.lines().count(), warm.lines().count(), "{what}");
+                let cfg = plain_cfg(Protocol::Nnt(scheme), None, faults);
+                assert_entry_points_agree(&pts, &inst, cfg, &what);
             }
         }
         assert_eq!(inst.topology_cache_stats().misses, 0, "n={n}");
+    }
+}
+
+/// GHS original and low-awake, BFS and both elections fetch their rows
+/// on first use, a `Sim::new` run from a cache of its own and a
+/// `Sim::from_instance` run from the instance's: clean and under the
+/// fixture fault plan, both entry points render the same ledger, stage
+/// marks and trace line by line.
+#[test]
+fn row_fetching_protocols_render_identically_through_both_entry_points() {
+    for n in [60usize, 200] {
+        let pts = instance_points(0x20_4747 ^ n as u64, n);
+        let inst = Instance::new(pts.clone());
+        let r = paper_phase2_radius(n);
+        for name in [
+            "ghs_original",
+            "ghs_lowawake",
+            "bfs",
+            "election_flood",
+            "election_tree",
+        ] {
+            let protocol = Protocol::from_name(name, 0).expect("registered name");
+            for faults in [None, Some(fixture_fault_plan(n))] {
+                let what = format!("n={n} {name} faulted={}", faults.is_some());
+                assert_entry_points_agree(&pts, &inst, plain_cfg(protocol, Some(r), faults), &what);
+            }
+        }
+    }
+}
+
+/// Every protocol run twice through `Sim::from_instance` on a fresh
+/// instance asks the instance's row cache for exactly the rows it reads:
+/// one row set for GHS, BFS and the elections (built by the first run,
+/// found by the second), EOPT's r₂ rows and their r₁ restriction (two
+/// builds, whose restriction finds the r₂ rows, then three hits), and
+/// nothing for Co-NNT.
+#[test]
+fn instance_runs_fetch_exactly_the_rows_they_read() {
+    const N: usize = 500;
+    let r = paper_phase2_radius(N);
+    for name in Protocol::NAMES {
+        let protocol = Protocol::from_name(name, 0).expect("registered name");
+        let inst = Instance::generate(0x20_4C55, N, 0);
+        // (hits, misses, evictions, entries) after the first and second run.
+        let want = match name {
+            "eopt" => [(1, 2, 0, 2), (3, 2, 0, 2)],
+            "co_nnt" | "nnt_xorder" | "nnt_id" => [(0, 0, 0, 0); 2],
+            _ => [(0, 1, 0, 1), (1, 1, 0, 1)],
+        };
+        for (run, want) in want.into_iter().enumerate() {
+            let out = Sim::from_instance(&inst).radius(r).run(protocol);
+            let base = Sim::new(inst.points()).radius(r).run(protocol);
+            assert_eq!(
+                out.stats.energy.to_bits(),
+                base.stats.energy.to_bits(),
+                "{name} run {run}"
+            );
+            let s = inst.topology_cache_stats();
+            assert_eq!(
+                (s.hits, s.misses, s.evictions, s.len),
+                want,
+                "{name} run {run}"
+            );
+        }
     }
 }
 
