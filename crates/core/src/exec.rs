@@ -101,12 +101,13 @@ impl<'a> ExecEnv<'a> {
     }
 
     /// Sets the worker-thread count for stages that partition per-round
-    /// node work (the GHS MOE search). Sharding changes wall-clock only:
-    /// nodes are assigned to shards by a fixed mapping and per-shard
-    /// results are reduced in canonical sequential order, so ledgers,
-    /// traces and stage marks stay bit-identical to `shards = 1`
-    /// (pinned by `tests/shard_identity.rs`). Values are clamped to at
-    /// least 1.
+    /// node work (the modified GHS variants' MOE slot refresh, one scoped
+    /// thread per contiguous id block). Sharding changes wall-clock only:
+    /// a node's refresh reads nothing another block writes, and the
+    /// candidates are folded on the calling thread in ascending id order,
+    /// so ledgers, traces and stage marks stay bit-identical to
+    /// `shards = 1` (pinned by `tests/shard_identity.rs`). Values are
+    /// clamped to at least 1.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }

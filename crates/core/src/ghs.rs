@@ -62,7 +62,7 @@ use emst_radio::{Availability, FaultKind, FaultPlan, RadioNet, Topology};
 use std::collections::VecDeque;
 use std::ops::Range;
 
-/// Sentinel for a fragment without an entry in `chosen_at`.
+/// Sentinel for a fragment without an entry in `chosen_at` or `search_at`.
 const NONE: u32 = u32::MAX;
 
 /// Which MOE-search mechanism to use.
@@ -224,6 +224,15 @@ impl Cand {
         let (ow, oa, ob) = other.key();
         sw.total_cmp(&ow).then_with(|| (sa, sb).cmp(&(oa, ob))) == std::cmp::Ordering::Less
     }
+
+    /// Keeps the first best of a fragment's candidates: `best` takes this
+    /// one unless it already holds one at least as good.
+    fn fold_into(self, best: &mut Option<Cand>) {
+        match best {
+            Some(b) if !self.better_than(b) => {}
+            _ => *best = Some(self),
+        }
+    }
 }
 
 /// The synchronous GHS engine.
@@ -290,21 +299,18 @@ pub struct GhsEngine {
     /// Per fragment id, its entry in the merge stage's `chosen` list
     /// (`NONE` outside a merge stage, and for fragments without one).
     chosen_at: Vec<u32>,
+    /// Reusable merge scratch: per `chosen` entry, whether the union-find
+    /// accepted it (cleared once the re-rooting walk has used it).
+    accepted_scratch: Vec<bool>,
+    /// Per fragment id, its index among the phase's active fragments
+    /// while stage B searches in node order (`NONE` outside stage B, and
+    /// for fragments that do not search).
+    search_at: Vec<u32>,
     /// Reusable merge scratch: union-find root per dense index, and live
     /// fragments grouped by root with the group bounds.
     group_roots: Vec<u32>,
     group_frags: Vec<u32>,
     group_off: Vec<u32>,
-    /// Reusable merge scratch: accepted edges annotated with fragment
-    /// endpoints (as accepted, then grouped by root), plus CSR adjacency
-    /// + BFS state for the fragment-level re-rooting walk.
-    group_edges_scratch: Vec<GroupEdge>,
-    group_edges_sorted: Vec<GroupEdge>,
-    reflip_arcs: Vec<(u32, u32)>,
-    reflip_off: Vec<u32>,
-    reflip_adj: Vec<(u32, u32)>,
-    reflip_visited: Vec<bool>,
-    reflip_queue: VecDeque<u32>,
     /// Per-node scan cursor into the topology's sorted rows. Entries
     /// before the cursor joined the node's own fragment in an earlier
     /// phase (clean modified runs) or are rejected (original variant);
@@ -352,13 +358,9 @@ pub struct GhsEngine {
     /// cache repair is forward progress a barren-phase cutoff must not
     /// count against the run.
     healed_last_phase: usize,
-    /// Worker-thread count for the sharded MOE stage (1 = in-place
-    /// sequential). See [`GhsEngine::set_shards`].
+    /// Worker-thread count for the MOE slot refresh (1 = in place). See
+    /// [`GhsEngine::set_shards`].
     shards: usize,
-    /// Per-shard `(position, candidate)` output buffers and replay
-    /// cursors, reused across phases.
-    shard_results: Vec<Vec<(u32, Cand)>>,
-    shard_idx: Vec<usize>,
 }
 
 impl GhsEngine {
@@ -387,16 +389,11 @@ impl GhsEngine {
             uf: emst_graph::UnionFind::new(0),
             live_index: vec![0; n],
             chosen_at: vec![NONE; n],
+            accepted_scratch: Vec::new(),
+            search_at: vec![NONE; n],
             group_roots: Vec::new(),
             group_frags: Vec::new(),
             group_off: Vec::new(),
-            group_edges_scratch: Vec::new(),
-            group_edges_sorted: Vec::new(),
-            reflip_arcs: Vec::new(),
-            reflip_off: Vec::new(),
-            reflip_adj: Vec::new(),
-            reflip_visited: Vec::new(),
-            reflip_queue: VecDeque::new(),
             moe_state: Vec::new(),
             rejected: Vec::new(),
             frag_cache: Vec::new(),
@@ -412,22 +409,22 @@ impl GhsEngine {
             stage_extra: 0,
             healed_last_phase: 0,
             shards: 1,
-            shard_results: Vec::new(),
-            shard_idx: Vec::new(),
         }
     }
 
-    /// Sets the worker-thread count for the per-round sharded MOE stage.
+    /// Sets the worker-thread count for stage B's MOE slot refresh.
     ///
-    /// The modified variant's stage B is pure computation (cache/topology
-    /// scans, zero messages), so with `shards > 1` it is partitioned
-    /// across scoped worker threads under a **fixed shard→node mapping**
-    /// (contiguous blocks of node-id space) and reduced back in the exact
-    /// sequential visit order. Ledgers, traces and stage marks are
-    /// bit-identical to the single-thread run for any shard count —
-    /// pinned by `tests/shard_identity.rs`. The original variant's stage
-    /// B exchanges test/accept/reject messages and always runs
-    /// sequentially.
+    /// A modified run on the shared sorted rows refreshes the MOE slots of
+    /// every searching node in node-id order, over contiguous id blocks of
+    /// `ceil(n / shards)` nodes; with `shards > 1` each block gets a scoped
+    /// thread. A node's refresh reads only the fragment ids, the caches and
+    /// its own slot, so the order and split cannot change it, and one
+    /// ascending pass then folds the slots into each fragment's candidate
+    /// on the calling thread. Ledgers, traces and stage marks are therefore
+    /// bit-identical for any shard count — pinned by
+    /// `tests/shard_identity.rs`. The original variant's stage B exchanges
+    /// test/accept/reject messages, and a restricted run's reads rows on
+    /// demand; both walk the members on the calling thread.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -891,31 +888,22 @@ impl GhsEngine {
         ok
     }
 
-    /// Clean-run MOE of node `u`: same result as the cache lookup (clean
-    /// caches are exact, so `cache[v] == frag[v]` at every read), served
-    /// from the topology's shared sorted rows. The cursor skips the prefix
-    /// that already belongs to `u`'s fragment — sound because fragments
-    /// only merge: once `v` shares `u`'s fragment they share it forever.
-    fn local_moe_clean(&mut self, topo: &Topology, u: usize) -> Option<Cand> {
-        Self::moe_scan(topo, &self.frag, &mut self.moe_state[u], u)
-    }
-
-    /// The cursor scan behind [`GhsEngine::local_moe_clean`], shared with
-    /// the sharded stage's workers (no `&self` so a worker can borrow its
-    /// slot block mutably while `frag` stays shared).
-    fn moe_scan(topo: &Topology, frag: &[u32], slot: &mut MoeSlot, u: usize) -> Option<Cand> {
+    /// Clean-run MOE of node `u`, refreshed in its slot: the first entry of
+    /// its shared sorted row in another fragment — the §V-A cache lookup,
+    /// since clean caches are exact (`cache[v] == frag[v]` at every read).
+    /// Afterwards the slot holds that entry's `(v, w)`, or `MOE_EXHAUSTED`.
+    /// The cursor skips the prefix that already belongs to `u`'s fragment —
+    /// sound because fragments only merge: once `v` shares `u`'s fragment
+    /// they share it forever. It reads only `frag`, the row and the slot
+    /// (no `&self`), so stage B's blocks refresh their slots in parallel
+    /// while `frag` stays shared.
+    fn moe_scan(topo: &Topology, frag: &[u32], slot: &mut MoeSlot, u: usize) {
         let my = frag[u];
-        if slot.v == MOE_EXHAUSTED {
-            return None;
-        }
-        if slot.v != MOE_UNSCANNED && frag[slot.v as usize] != my {
-            // Candidate still foreign: the prefix before the cursor is
-            // all same-fragment (permanently), so it is still the MOE.
-            return Some(Cand {
-                w: slot.w,
-                u: u as u32,
-                v: slot.v,
-            });
+        if slot.v == MOE_EXHAUSTED || (slot.v != MOE_UNSCANNED && frag[slot.v as usize] != my) {
+            // Exhausted for good, or the candidate is still foreign: the
+            // prefix before the cursor is all same-fragment (permanently),
+            // so it is still the MOE.
+            return;
         }
         let ids = topo.sorted_ids(u);
         let mut k = slot.cursor as usize;
@@ -923,17 +911,9 @@ impl GhsEngine {
             k += 1;
         }
         slot.cursor = k as u32;
-        if k < ids.len() {
-            slot.v = ids[k];
-            slot.w = topo.sorted_dists(u)[k];
-            Some(Cand {
-                w: slot.w,
-                u: u as u32,
-                v: slot.v,
-            })
-        } else {
-            slot.v = MOE_EXHAUSTED;
-            None
+        match ids.get(k) {
+            Some(&v) => (slot.v, slot.w) = (v, topo.sorted_dists(u)[k]),
+            None => slot.v = MOE_EXHAUSTED,
         }
     }
 
@@ -1102,112 +1082,77 @@ impl GhsEngine {
         (found, exchanges)
     }
 
-    /// The sharded MOE stage (modified variant only): partitions nodes
-    /// across `shards` scoped worker threads and reduces candidates back
-    /// deterministically.
+    /// Stage B of a modified run on the shared sorted rows, in node-id
+    /// order. Each searching (active, not stalled) fragment's index is
+    /// marked in `search_at`. Then the slot of every node in a marked
+    /// fragment is refreshed over contiguous id blocks of
+    /// `ceil(n / shards)` nodes, a scoped thread per block when
+    /// `shards > 1`: clean runs advance the cursor scan
+    /// ([`GhsEngine::moe_scan`]); faulty runs store the cache lookup
+    /// ([`GhsEngine::moe_cached`]) as `(v, w)` or `MOE_EXHAUSTED`. Last,
+    /// one ascending pass folds each slot into its fragment's candidate.
     ///
-    /// **Mapping.** Node `u` belongs to shard `u / ceil(n / shards)` —
-    /// contiguous blocks of node-id space, fixed for the whole run. The
-    /// per-node scan cursors are `split_at_mut` along the same blocks, so
-    /// every cursor write is provably disjoint; all other engine state
-    /// (`frag`, the fragment caches, the shared sorted topology) is
-    /// read-only during the stage.
-    ///
-    /// **Reduce.** Each worker emits `(position, candidate)` pairs in
-    /// ascending position order over the active fragments' runs of the
-    /// member array. The orchestrating thread then replays the exact sequential
-    /// visit order, folding each position's candidate with the same
-    /// `better_than` comparison the unsharded loop uses — so the winning
-    /// candidate per fragment (and therefore every downstream message,
-    /// ledger charge and trace event) is bit-identical for any shard
-    /// count.
-    #[allow(clippy::needless_range_loop)] // `p` is the position value itself
-    fn moe_sharded(
+    /// A node's refresh reads only `frag`, the cache and its own slot, so
+    /// neither the block split nor the order matters. A fragment's members
+    /// are ascending in its run, so the ascending fold meets them in member
+    /// order and keeps the same first-best candidate as the member-order
+    /// walk, ties between stale picks under a plan included. Rows and slots
+    /// are read in id order, where the member-order walk read them at
+    /// random.
+    fn moe_in_node_order(
         &mut self,
         topo: &Topology,
-        order: &[u32],
         bounds: &[(u32, u32, u32)],
         stalled: &[bool],
         cand: &mut [Option<Cand>],
-        shards: usize,
     ) {
-        let n = self.n;
-        let block = n.div_ceil(shards);
-        let mut results = std::mem::take(&mut self.shard_results);
-        results.resize_with(shards, Vec::new);
-        for r in &mut results {
-            r.clear();
-        }
-        {
-            let frag = &self.frag;
-            // Faulty runs read their caches; clean runs scan with cursors.
-            let cache = self.retries.is_some().then_some(self.frag_cache.as_slice());
-            let mut cursor_blocks: Vec<&mut [MoeSlot]> = Vec::with_capacity(shards);
-            let mut rest: &mut [MoeSlot] = &mut self.moe_state;
-            for _ in 0..shards {
-                let take = block.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                cursor_blocks.push(head);
-                rest = tail;
+        for (ai, &(f, _, _)) in bounds.iter().enumerate() {
+            if !stalled[ai] {
+                self.search_at[f as usize] = ai as u32;
             }
+        }
+        let (frag, search_at) = (&self.frag, &self.search_at);
+        // Faulty runs read their caches; clean runs scan with cursors.
+        let cache = self.retries.is_some().then_some(self.frag_cache.as_slice());
+        let refresh = |lo: usize, slots: &mut [MoeSlot]| {
+            for (u, slot) in (lo..).zip(slots) {
+                if search_at[frag[u] as usize] == NONE {
+                    continue;
+                }
+                match cache {
+                    None => Self::moe_scan(topo, frag, slot, u),
+                    Some(cache) => match Self::moe_cached(topo, cache, frag[u], u) {
+                        Some(c) => (slot.v, slot.w) = (c.v, c.w),
+                        None => slot.v = MOE_EXHAUSTED,
+                    },
+                }
+            }
+        };
+        let shards = self.shards.min(self.n.max(1));
+        if shards > 1 {
+            let block = self.n.div_ceil(shards);
             std::thread::scope(|sc| {
-                for (s, (cursor, out)) in cursor_blocks
-                    .into_iter()
-                    .zip(results.iter_mut())
-                    .enumerate()
-                {
-                    let lo = s * block;
-                    let hi = ((s + 1) * block).min(n);
-                    sc.spawn(move || {
-                        for (ai, &(_f, s0, e0)) in bounds.iter().enumerate() {
-                            if stalled[ai] {
-                                continue;
-                            }
-                            for p in s0 as usize..e0 as usize {
-                                let u = order[p] as usize;
-                                if u < lo || u >= hi {
-                                    continue;
-                                }
-                                let c = match cache {
-                                    Some(cache) => Self::moe_cached(topo, cache, frag[u], u),
-                                    // local_moe_clean against this shard's
-                                    // slot block.
-                                    None => Self::moe_scan(topo, frag, &mut cursor[u - lo], u),
-                                };
-                                if let Some(c) = c {
-                                    out.push((p as u32, c));
-                                }
-                            }
-                        }
-                    });
+                for (b, slots) in self.moe_state.chunks_mut(block).enumerate() {
+                    sc.spawn(move || refresh(b * block, slots));
                 }
             });
+        } else {
+            refresh(0, &mut self.moe_state);
         }
-        // Deterministic reduce: walk positions in the sequential order and
-        // pop each shard's stream in lockstep (streams are position-sorted
-        // by construction).
-        let mut idx = std::mem::take(&mut self.shard_idx);
-        idx.clear();
-        idx.resize(shards, 0);
-        for (ai, &(_f, s0, e0)) in bounds.iter().enumerate() {
-            if stalled[ai] {
-                continue;
-            }
-            for p in s0 as usize..e0 as usize {
-                let s = order[p] as usize / block;
-                if let Some(&(pp, c)) = results[s].get(idx[s]) {
-                    if pp as usize == p {
-                        idx[s] += 1;
-                        match &cand[ai] {
-                            Some(best) if !c.better_than(best) => {}
-                            _ => cand[ai] = Some(c),
-                        }
-                    }
-                }
+        for (u, slot) in self.moe_state.iter().enumerate() {
+            let ai = search_at[frag[u] as usize];
+            if ai != NONE && slot.v != MOE_EXHAUSTED {
+                let c = Cand {
+                    w: slot.w,
+                    u: u as u32,
+                    v: slot.v,
+                };
+                c.fold_into(&mut cand[ai as usize]);
             }
         }
-        self.shard_idx = idx;
-        self.shard_results = results;
+        for &(f, _, _) in bounds {
+            self.search_at[f as usize] = NONE;
+        }
     }
 
     /// Executes one phase. Returns the number of fragment merges performed
@@ -1290,46 +1235,29 @@ impl GhsEngine {
         let topo =
             (!on_demand).then(|| net.topology_handle().expect("discover cached this radius"));
         let faulty = self.retries.is_some();
-        let shard_count = if self.variant.is_modified() && !on_demand {
-            self.shards.min(self.n.max(1))
-        } else {
-            // The original variant's MOE search exchanges messages, and
-            // on-demand rows are read through the network — both stay on
-            // the orchestrating thread.
-            1
-        };
-        if shard_count > 1 {
-            self.moe_sharded(
-                topo.as_deref()
-                    .expect("only on-demand runs lack the shared rows"),
-                &order,
-                &bounds,
-                &stalled,
-                &mut cand,
-                shard_count,
-            );
-        } else {
-            for (ai, &(_f, s, e)) in bounds.iter().enumerate() {
-                if stalled[ai] {
-                    continue;
-                }
-                for &u in &order[s as usize..e as usize] {
-                    let u = u as usize;
-                    let (c, ex) = match (&topo, self.variant) {
-                        (Some(topo), GhsVariant::Original) => {
-                            self.local_moe_original(net, topo, u, kinds)
-                        }
-                        (Some(topo), _) if faulty => {
-                            (Self::moe_cached(topo, &self.frag_cache, self.frag[u], u), 0)
-                        }
-                        (Some(topo), _) => (self.local_moe_clean(topo, u), 0),
-                        (None, _) => (self.local_moe_restricted(net, u, cand[ai].as_ref()), 0),
-                    };
-                    max_exchanges = max_exchanges.max(ex);
-                    if let Some(c) = c {
-                        match &cand[ai] {
-                            Some(best) if !c.better_than(best) => {}
-                            _ => cand[ai] = Some(c),
+        match &topo {
+            Some(topo) if self.variant.is_modified() => {
+                self.moe_in_node_order(topo, &bounds, &stalled, &mut cand)
+            }
+            // The original variant's search exchanges messages, and an
+            // on-demand search is bounded by its fragment's best so far:
+            // both walk the members in order.
+            _ => {
+                for (ai, &(_f, s, e)) in bounds.iter().enumerate() {
+                    if stalled[ai] {
+                        continue;
+                    }
+                    for &u in &order[s as usize..e as usize] {
+                        let (c, ex) = match &topo {
+                            Some(topo) => self.local_moe_original(net, topo, u as usize, kinds),
+                            None => {
+                                let best = cand[ai].as_ref();
+                                (self.local_moe_restricted(net, u as usize, best), 0)
+                            }
+                        };
+                        max_exchanges = max_exchanges.max(ex);
+                        if let Some(c) = c {
+                            c.fold_into(&mut cand[ai]);
                         }
                     }
                 }
@@ -1486,11 +1414,13 @@ impl GhsEngine {
     /// the number of merged groups.
     ///
     /// One stage costs O(live fragments + absorbed members + n): fragments
-    /// are grouped by union-find root with stable counting sorts, flags and
-    /// chosen edges are read from id-indexed slabs, only the absorbed
-    /// fragments' runs are relabelled, a stage that merged anything lays
-    /// the member array out again ([`GhsEngine::regroup`]), and every
-    /// buffer is reused across stages.
+    /// are grouped by union-find root with a stable counting sort, flags
+    /// and chosen edges are read from id-indexed slabs, each group is
+    /// re-rooted along its own accepted edges
+    /// ([`GhsEngine::reroot_group`]), only the absorbed fragments' runs are
+    /// relabelled, a stage that merged anything lays the member array out
+    /// again ([`GhsEngine::regroup`]), and every buffer is reused across
+    /// stages.
     fn merge(&mut self, net: &mut RadioNet<'_>, chosen: &[(u32, Cand)]) -> MergeResult {
         self.changed_scratch.clear();
         let nlive = self.live.len();
@@ -1507,11 +1437,10 @@ impl GhsEngine {
         // MOE choices); under faults it additionally discards stale
         // cache picks that turned out fragment-internal and ≥3-cycles
         // among non-minimum candidates — either would corrupt the forest.
-        // Accepted edges are annotated with their (pre-merge) fragment
-        // endpoints and, after all unions, their group root — the
-        // fragment-level spanning tree each merge group re-roots along.
-        let mut group_edges = std::mem::take(&mut self.group_edges_scratch);
-        group_edges.clear();
+        // Each fragment chose at most one edge, so a group's accepted
+        // edges hang all its fragments but one from their own choices.
+        let mut accepted = std::mem::take(&mut self.accepted_scratch);
+        accepted.clear();
         // Candidates that were fragment-internal before this stage: a stale
         // announce cache proposed an edge to a node already merged in. The
         // delivered connect doubles as the real protocol's "same fragment"
@@ -1525,10 +1454,13 @@ impl GhsEngine {
             let g = self.frag[cand.v as usize];
             if g == f {
                 stale.push(cand);
-            } else if self.uf.union(
-                self.live_index[f as usize] as usize,
-                self.live_index[g as usize] as usize,
-            ) {
+            }
+            let joins = g != f
+                && self.uf.union(
+                    self.live_index[f as usize] as usize,
+                    self.live_index[g as usize] as usize,
+                );
+            if joins {
                 let (a, b) = if cand.u < cand.v {
                     (cand.u, cand.v)
                 } else {
@@ -1536,20 +1468,13 @@ impl GhsEngine {
                 };
                 self.tree_edges
                     .push(Edge::new(a as usize, b as usize, cand.w));
-                group_edges.push(GroupEdge {
-                    root: 0, // filled below once the unions settle
-                    frag_u: f,
-                    frag_v: g,
-                    u: cand.u,
-                    v: cand.v,
-                });
             }
+            accepted.push(joins);
         }
-        // Group fragments and accepted edges by union-find root with stable
-        // counting sorts. `live` is ascending, so each class comes out as a
-        // contiguous run with members in ascending order, and the runs in
-        // ascending root order — the grouping a sort of `(root, fragment)`
-        // pairs gives. Edges keep their acceptance order within a group.
+        // Group fragments by union-find root with a stable counting sort.
+        // `live` is ascending, so each class comes out as a contiguous run
+        // with members in ascending order, and the runs in ascending root
+        // order — the grouping a sort of `(root, fragment)` pairs gives.
         let mut roots = std::mem::take(&mut self.group_roots);
         roots.clear();
         for i in 0..nlive {
@@ -1557,21 +1482,9 @@ impl GhsEngine {
         }
         let live_index = &self.live_index;
         let root_of = |f: u32| roots[live_index[f as usize] as usize] as usize;
-        for ge in group_edges.iter_mut() {
-            ge.root = root_of(ge.frag_u) as u32;
-        }
         let mut off = std::mem::take(&mut self.group_off);
-        let mut edges = std::mem::take(&mut self.group_edges_sorted);
-        counting_sort(
-            &group_edges,
-            nlive,
-            |ge| ge.root as usize,
-            &mut off,
-            &mut edges,
-        );
         let mut frags = std::mem::take(&mut self.group_frags);
         counting_sort(&self.live, nlive, |&f| root_of(f), &mut off, &mut frags);
-        let mut ge_cursor = 0usize;
         let mut merged_groups = 0usize;
         for r in 0..nlive {
             let group = &frags[off[r] as usize..off[r + 1] as usize];
@@ -1612,19 +1525,12 @@ impl GhsEngine {
                     .expect("non-trivial group has at least one chosen edge");
                 core.u.max(core.v)
             };
-            // The new leader's pre-merge fragment — the BFS root of the
-            // fragment-level re-attachment walk below. A fragment's id is
-            // one of its members, so `new_id` was a live id iff it is
-            // `f_star`, and no other group's fragment carries it.
+            // Re-root while `frag` still names the pre-merge fragments. A
+            // fragment's id is one of its members, so `new_id` was a live
+            // id iff it is its own pre-merge fragment, and no other group's
+            // fragment carries it.
             let f_star = self.frag[new_id as usize];
-            // This group's slice of the accepted edges (both lists are in
-            // root order; singleton groups own no edges, so skipping them
-            // cannot desynchronise the cursor).
-            let ge_start = ge_cursor;
-            while ge_cursor < edges.len() && edges[ge_cursor].root == r as u32 {
-                ge_cursor += 1;
-            }
-            debug_assert_eq!(ge_cursor - ge_start, group.len() - 1);
+            self.reroot_group(new_id, f_star, group, chosen, &mut accepted);
             // Relabel the absorbed fragments' runs in group order (each run
             // ascending), so `changed` — and thus announce order — is their
             // concatenation. The runs stay where they are until the regroup
@@ -1647,7 +1553,6 @@ impl GhsEngine {
             net.note_merge(new_id as usize, group.len() - 1, size as usize);
             self.frag_size[new_id as usize] = size;
             self.is_live[new_id as usize] = true;
-            self.reflip_group(new_id, f_star, group, &edges[ge_start..ge_cursor]);
         }
         if merged_groups > 0 {
             self.regroup();
@@ -1671,8 +1576,7 @@ impl GhsEngine {
         self.group_roots = roots;
         self.group_off = off;
         self.group_frags = frags;
-        self.group_edges_scratch = group_edges;
-        self.group_edges_sorted = edges;
+        self.accepted_scratch = accepted;
         MergeResult {
             merged_groups,
             healed: stale.len(),
@@ -1683,6 +1587,8 @@ impl GhsEngine {
     /// root of its (old) fragment tree — `O(path length)` instead of a
     /// whole-fragment BFS. The resulting orientation is the unique
     /// "towards `r`" one, so it is bit-identical to a full re-rooting.
+    /// Each merge flips every fragment of its group once, while the
+    /// fragment's own tree still ends at its old root.
     fn flip_to_root(&mut self, r: u32) {
         let mut prev = r;
         let mut cur = self.parent[r as usize];
@@ -1697,66 +1603,69 @@ impl GhsEngine {
         }
     }
 
-    /// Re-roots a merge group's combined tree at `new_id` by walking the
-    /// fragment-level spanning tree (`edges`) breadth-first from
-    /// `f_star` (= `new_id`'s old fragment) and reversing one
-    /// root-to-attachment parent path per old fragment. Total cost is
-    /// `O(k + Σ path lengths)` for a `k`-fragment group, against the
-    /// whole-fragment BFS it replaces; the final parent orientation
-    /// ("towards `new_id`") is unique on a tree, so the result is
-    /// bit-identical.
-    fn reflip_group(&mut self, new_id: u32, f_star: u32, group: &[u32], edges: &[GroupEdge]) {
-        let k = group.len();
-        let local = |f: u32| {
+    /// Re-roots fragment `attach`'s tree at `attach` and hangs it from
+    /// `connector`, a node of the neighbouring fragment across an accepted
+    /// edge.
+    fn hang(&mut self, attach: u32, connector: u32) {
+        self.flip_to_root(attach);
+        self.parent[attach as usize] = connector;
+        self.parent_energy[attach as usize] = f64::INFINITY;
+    }
+
+    /// The `chosen` entry of fragment `f`'s accepted (and not yet walked)
+    /// edge, if it has one.
+    fn accepted_edge(&self, f: u32, accepted: &[bool]) -> Option<usize> {
+        let k = self.chosen_at[f as usize];
+        (k != NONE && accepted[k as usize]).then_some(k as usize)
+    }
+
+    /// Re-roots a merge group's combined tree at `new_id`, along the
+    /// group's accepted edges, before the relabel (`frag` still names
+    /// each node's pre-merge fragment). Every fragment but one (`top`)
+    /// owns exactly one accepted edge, its own choice, and following them
+    /// from any fragment ends at `top`. So the walk flips `f_star`
+    /// (`new_id`'s pre-merge fragment) at `new_id`, follows `f_star`'s
+    /// edges to `top` hanging each next fragment from the previous one
+    /// at its own endpoint (reversing that path), and hangs every other
+    /// fragment from its own edge at its own endpoint. That is the
+    /// endpoint of the edge towards `f_star` in the group's tree, where a
+    /// breadth-first walk from `f_star` would flip it too, and each
+    /// fragment is flipped once, so the orientation "towards `new_id`" —
+    /// every `parent` pointer and `parent_energy` reset — is the one a
+    /// whole-group re-rooting gives, at `O(k + Σ path lengths)` for a
+    /// `k`-fragment group.
+    fn reroot_group(
+        &mut self,
+        new_id: u32,
+        f_star: u32,
+        group: &[u32],
+        chosen: &[(u32, Cand)],
+        accepted: &mut [bool],
+    ) {
+        debug_assert_eq!(
             group
-                .binary_search(&f)
-                .expect("edge endpoint outside its merge group")
-        };
-        // Adjacency over the group's dense fragment indices: each edge's
-        // two `(endpoint, edge)` arcs, grouped by endpoint.
-        let mut arcs = std::mem::take(&mut self.reflip_arcs);
-        let mut off = std::mem::take(&mut self.reflip_off);
-        let mut adj = std::mem::take(&mut self.reflip_adj);
-        arcs.clear();
-        for (ei, e) in edges.iter().enumerate() {
-            let ei = ei as u32;
-            arcs.extend([(local(e.frag_u) as u32, ei), (local(e.frag_v) as u32, ei)]);
-        }
-        counting_sort(&arcs, k, |&(l, _)| l as usize, &mut off, &mut adj);
-        let mut visited = std::mem::take(&mut self.reflip_visited);
-        visited.clear();
-        visited.resize(k, false);
-        let mut queue = std::mem::take(&mut self.reflip_queue);
-        queue.clear();
-        let start = local(f_star);
-        visited[start] = true;
-        queue.push_back(start as u32);
+                .iter()
+                .filter(|&&f| self.accepted_edge(f, accepted).is_none())
+                .count(),
+            1,
+            "exactly one fragment of a merge group owns no accepted edge"
+        );
         self.flip_to_root(new_id);
-        while let Some(fi) = queue.pop_front() {
-            let fi = fi as usize;
-            for &(_, ei) in &adj[off[fi] as usize..off[fi + 1] as usize] {
-                let e = edges[ei as usize];
-                // Orient the edge away from the visited side.
-                let (child_f, attach, connector) = if local(e.frag_u) == fi {
-                    (e.frag_v, e.v, e.u)
-                } else {
-                    (e.frag_u, e.u, e.v)
-                };
-                let ci = local(child_f);
-                if !visited[ci] {
-                    visited[ci] = true;
-                    self.flip_to_root(attach);
-                    self.parent[attach as usize] = connector;
-                    self.parent_energy[attach as usize] = f64::INFINITY;
-                    queue.push_back(ci as u32);
-                }
+        let (mut f, mut steps) = (f_star, 0);
+        while let Some(k) = self.accepted_edge(f, accepted) {
+            accepted[k] = false;
+            let c = chosen[k].1;
+            f = self.frag[c.v as usize];
+            self.hang(c.v, c.u);
+            steps += 1;
+            debug_assert!(steps < group.len(), "the walk from f_star must end at top");
+        }
+        for &g in group {
+            if let Some(k) = self.accepted_edge(g, accepted) {
+                let c = chosen[k].1;
+                self.hang(c.u, c.v);
             }
         }
-        self.reflip_arcs = arcs;
-        self.reflip_off = off;
-        self.reflip_adj = adj;
-        self.reflip_visited = visited;
-        self.reflip_queue = queue;
     }
 
     /// Runs phases until no active fragment can merge. Returns the number
@@ -2020,22 +1929,6 @@ impl MoeSlot {
     }
 }
 
-/// An accepted merge edge annotated with its (pre-merge) fragment
-/// endpoints and, once the union-find settles, its merge-group root —
-/// together the edges of one group form the fragment-level spanning tree
-/// the group's trees are re-attached along.
-#[derive(Clone, Copy, Default)]
-struct GroupEdge {
-    /// Union-find root (dense index) identifying the merge group.
-    root: u32,
-    /// Fragment that proposed the edge (contains `u`).
-    frag_u: u32,
-    /// Fragment on the receiving end (contains `v`).
-    frag_v: u32,
-    u: u32,
-    v: u32,
-}
-
 /// Internal result of a merge stage.
 struct MergeResult {
     merged_groups: usize,
@@ -2151,7 +2044,9 @@ mod tests {
                 .zip(topo.sorted_dists(u))
                 .find(|(&v, _)| eng.frag[v as usize] != eng.frag[u])
                 .map(|(&v, &d)| (v, d));
-            let got = eng.local_moe_clean(&topo, u).map(|c| (c.v, c.w));
+            let slot = &mut eng.moe_state[u];
+            GhsEngine::moe_scan(&topo, &eng.frag, slot, u);
+            let got = (slot.v != MOE_EXHAUSTED).then_some((slot.v, slot.w));
             assert_eq!(got, reference, "node {u}");
         }
     }
@@ -2366,7 +2261,8 @@ mod tests {
     /// at 0, the last ending at n), so runs are `frag_size` long and laid
     /// out in ascending fragment order; each run is strictly ascending,
     /// labelled with its fragment, rooted at it, and what `members_of`
-    /// returns; flags sit on live ids only.
+    /// returns; the parent edges are exactly `tree_edges`; flags sit on
+    /// live ids only.
     fn check_arena(eng: &GhsEngine, ctx: &str) {
         let n = eng.n;
         assert!(
@@ -2412,6 +2308,20 @@ mod tests {
             }
         }
         assert_eq!(end as usize, n, "{ctx}: runs must cover the nodes");
+        // With every chain ending at its fragment id, this makes the
+        // parent forest the tree edges oriented towards each fragment id.
+        let mut parent_edges: Vec<(u32, u32)> = (0..n as u32)
+            .map(|u| (u, eng.parent[u as usize]))
+            .filter(|&(u, p)| u != p)
+            .map(|(u, p)| (u.min(p), u.max(p)))
+            .collect();
+        parent_edges.sort_unstable();
+        let mut tree_edges: Vec<(u32, u32)> = eng.tree_edges.iter().map(|e| (e.u, e.v)).collect();
+        tree_edges.sort_unstable();
+        assert_eq!(
+            parent_edges, tree_edges,
+            "{ctx}: the parent edges are not the tree edges"
+        );
         let (passive, inactive) = flagged(eng);
         for f in passive.iter().chain(&inactive) {
             assert!(eng.is_live[*f as usize], "{ctx}: flag on dead id {f}");
@@ -2544,12 +2454,54 @@ mod tests {
         }
     }
 
+    /// Stage B's candidates of the phase just run, against a member-order
+    /// reference over the state the phase started from (`frag`, `order`
+    /// and `cache`): a searching fragment's candidate is the first best
+    /// over its members, in member order, of each member's first foreign
+    /// row entry (clean) or its cache lookup (under a plan); a stalled
+    /// fragment has none.
+    fn check_candidates(
+        eng: &GhsEngine,
+        topo: &Topology,
+        frag: &[u32],
+        order: &[u32],
+        cache: &[u32],
+        ctx: &str,
+    ) {
+        let clean = eng.retries.is_none();
+        for (ai, &(f, s, e)) in eng.active_bounds.iter().enumerate() {
+            let got = eng.cand_scratch[ai];
+            if eng.stalled_scratch[ai] {
+                assert_eq!(got, None, "{ctx}: stalled fragment {f} has a candidate");
+                continue;
+            }
+            let mut want: Option<Cand> = None;
+            for &u in &order[s as usize..e as usize] {
+                let c = if clean {
+                    let row = topo.sorted_ids(u as usize).iter();
+                    row.zip(topo.sorted_dists(u as usize))
+                        .find(|(&v, _)| frag[v as usize] != frag[u as usize])
+                        .map(|(&v, &w)| Cand { w, u, v })
+                } else {
+                    GhsEngine::moe_cached(topo, cache, frag[u as usize], u as usize)
+                };
+                match (c, &want) {
+                    (Some(c), Some(best)) if !c.better_than(best) => {}
+                    (Some(c), _) => want = Some(c),
+                    (None, _) => {}
+                }
+            }
+            assert_eq!(got, want, "{ctx}: candidate of fragment {f}");
+        }
+    }
+
     /// Runs `eng` to quiescence one `phase()` at a time — stopping like
     /// `run_phases` does — and checks the arena after every phase, plus
     /// that a merging phase announces exactly the relabelled nodes, that
     /// each passive fragment keeps its id and its flag, and, for an
-    /// original run, its reject state. A restricted modified run's memo
-    /// slots are checked before every phase. Returns the most fragments a
+    /// original run, its reject state. A modified run on the shared rows
+    /// has its candidates checked after every phase, and a restricted one
+    /// its memo slots before every phase. Returns the most fragments a
     /// passive one absorbed in a single phase.
     fn phases_checked(
         eng: &mut GhsEngine,
@@ -2566,6 +2518,8 @@ mod tests {
             let passive_before = eng.passive_fragments();
             let live_before = eng.live.clone();
             let frag_before = eng.frag.clone();
+            let order_before = eng.member_order.clone();
+            let cache_before = eng.frag_cache.clone();
             if eng.reads_rows_on_demand(net) {
                 check_restricted_slots(
                     eng,
@@ -2591,6 +2545,9 @@ mod tests {
             if eng.variant == GhsVariant::Original {
                 let topo = net.topology_at(eng.radius).expect("cached by discover");
                 check_rejects(eng, topo, net, hello_round, &ctx);
+            } else if !eng.reads_rows_on_demand(net) {
+                let topo = net.topology_at(eng.radius).expect("cached by discover");
+                check_candidates(eng, topo, &frag_before, &order_before, &cache_before, &ctx);
             }
             let passive_after = eng.passive_fragments();
             for &p in &passive_before {
@@ -2628,6 +2585,25 @@ mod tests {
         )
     }
 
+    /// The original variant once, and the modified variants at 1, 2 and 3
+    /// shards.
+    fn variant_shards() -> impl Iterator<Item = (GhsVariant, usize)> {
+        let modified = [GhsVariant::Modified, GhsVariant::LowAwake];
+        std::iter::once((GhsVariant::Original, 1)).chain(
+            modified
+                .into_iter()
+                .flat_map(|v| (1..=3).map(move |s| (v, s))),
+        )
+    }
+
+    /// A link-loss plan with one retry.
+    fn lossy(seed: u64, drop: f64) -> FaultPlan {
+        FaultPlan::none()
+            .seed(seed)
+            .drop_probability(drop)
+            .retries(1)
+    }
+
     #[test]
     fn merge_arena_invariants_hold_after_every_phase() {
         use crate::EoptConfig;
@@ -2639,36 +2615,27 @@ mod tests {
             let r = paper_phase2_radius(n);
             let reference = kruskal_tree(&pts, r);
 
-            // Every variant from singletons.
-            for variant in [
-                GhsVariant::Original,
-                GhsVariant::Modified,
-                GhsVariant::LowAwake,
-            ] {
+            // Every variant from singletons, the modified ones at every
+            // shard count.
+            for (variant, shards) in variant_shards() {
                 let mut net = RadioNet::new(&pts, r);
                 if variant == GhsVariant::LowAwake {
                     net.track_awake();
                 }
                 let mut eng = GhsEngine::new(&net, variant);
+                eng.set_shards(shards);
                 eng.discover(&mut net, r, kinds);
-                phases_checked(
-                    &mut eng,
-                    &mut net,
-                    kinds,
-                    &format!("seed {seed}, {variant:?}"),
-                );
-                assert!(
-                    eng.tree().same_edges(&reference),
-                    "seed {seed}, {variant:?}"
-                );
+                let ctx = format!("seed {seed}, {variant:?}, {shards} shards");
+                phases_checked(&mut eng, &mut net, kinds, &ctx);
+                assert!(eng.tree().same_edges(&reference), "{ctx}");
                 assert_eq!(
                     net.ledger().kind("ghs/test").messages > 0,
                     variant == GhsVariant::Original,
-                    "seed {seed}, {variant:?}: only the original variant tests"
+                    "{ctx}: only the original variant tests"
                 );
                 assert!(
                     eng.rejected.is_empty(),
-                    "seed {seed}, {variant:?}: a run without a plan keeps a reject slab"
+                    "{ctx}: a run without a plan keeps a reject slab"
                 );
             }
 
@@ -2720,33 +2687,41 @@ mod tests {
             assert!(eng.tree().same_edges(&live_msf), "{ctx}");
 
             // EOPT: step 1, size classification, then step 2 with the
-            // passive giant absorbing the small fragments.
+            // passive giant absorbing the small fragments; clean and under
+            // a lossy plan, at every shard count.
             let cfg = EoptConfig::default();
             let (r1, r2) = (cfg.radius1(n), cfg.radius2(n).max(cfg.radius1(n)));
             let (k1, k2) = (GhsKinds::for_scope("eopt1"), GhsKinds::for_scope("eopt2"));
-            let mut net = RadioNet::new(&pts, r2);
-            let mut eng = GhsEngine::new(&net, GhsVariant::Modified);
-            eng.discover(&mut net, r1, k1);
-            let ctx = format!("seed {seed}, eopt");
-            phases_checked(&mut eng, &mut net, k1, &format!("{ctx} step 1"));
-            eng.classify_passive_by_size(&mut net, cfg.giant_threshold(n), k1);
-            check_arena(&eng, &format!("{ctx} size"));
-            assert!(
-                !eng.passive_fragments().is_empty(),
-                "{ctx}: no giant declared"
-            );
-            eng.discover(&mut net, r2, k2);
-            giant_absorbed.push(phases_checked(
-                &mut eng,
-                &mut net,
-                k2,
-                &format!("{ctx} step 2"),
-            ));
-            if eng.passive_fragments().len() > 1 {
-                eng.clear_passive();
-                phases_checked(&mut eng, &mut net, k2, &format!("{ctx} recovery"));
+            for (drop, shards) in [0.0, 0.2]
+                .into_iter()
+                .flat_map(|p| (1..=3).map(move |s| (p, s)))
+            {
+                let mut net = RadioNet::new(&pts, r2);
+                if drop > 0.0 {
+                    net.set_faults(lossy(seed, drop));
+                }
+                let mut eng = GhsEngine::new(&net, GhsVariant::Modified);
+                eng.set_shards(shards);
+                eng.discover(&mut net, r1, k1);
+                let ctx = format!("seed {seed}, eopt, drop {drop}, {shards} shards");
+                phases_checked(&mut eng, &mut net, k1, &format!("{ctx} step 1"));
+                eng.classify_passive_by_size(&mut net, cfg.giant_threshold(n), k1);
+                check_arena(&eng, &format!("{ctx} size"));
+                assert!(
+                    drop > 0.0 || !eng.passive_fragments().is_empty(),
+                    "{ctx}: no giant declared"
+                );
+                eng.discover(&mut net, r2, k2);
+                let absorbed = phases_checked(&mut eng, &mut net, k2, &format!("{ctx} step 2"));
+                if eng.passive_fragments().len() > 1 {
+                    eng.clear_passive();
+                    phases_checked(&mut eng, &mut net, k2, &format!("{ctx} recovery"));
+                }
+                if drop == 0.0 {
+                    giant_absorbed.push(absorbed);
+                    assert!(eng.tree().same_edges(&kruskal_tree(&pts, r2)), "{ctx}");
+                }
             }
-            assert!(eng.tree().same_edges(&kruskal_tree(&pts, r2)), "{ctx}");
 
             // Maintain/repair start: a seeded forest (the MST minus every
             // fifth edge) with its largest fragment passive.
@@ -2776,21 +2751,19 @@ mod tests {
             // Lossy fault plans: drops, retries, stale caches — and, at the
             // higher rate, tables asymmetric enough that a fragment marked
             // exhausted is still chosen, and absorbed, by a neighbour.
-            for (drop, variant) in [0.2, 0.6]
-                .into_iter()
-                .flat_map(|p| [(p, GhsVariant::Original), (p, GhsVariant::Modified)])
-            {
-                let mut net = RadioNet::new(&pts, r);
-                net.set_faults(
-                    FaultPlan::none()
-                        .seed(seed)
-                        .drop_probability(drop)
-                        .retries(1),
-                );
-                let mut eng = GhsEngine::new(&net, variant);
-                eng.discover(&mut net, r, kinds);
-                let ctx = format!("seed {seed}, lossy {drop} {variant:?}");
-                phases_checked(&mut eng, &mut net, kinds, &ctx);
+            for drop in [0.2, 0.6] {
+                for (variant, shards) in variant_shards() {
+                    let mut net = RadioNet::new(&pts, r);
+                    net.set_faults(lossy(seed, drop));
+                    if variant == GhsVariant::LowAwake {
+                        net.track_awake();
+                    }
+                    let mut eng = GhsEngine::new(&net, variant);
+                    eng.set_shards(shards);
+                    eng.discover(&mut net, r, kinds);
+                    let ctx = format!("seed {seed}, lossy {drop} {variant:?}, {shards} shards");
+                    phases_checked(&mut eng, &mut net, kinds, &ctx);
+                }
             }
         }
         assert!(

@@ -567,10 +567,12 @@ impl<'a> Sim<'a> {
     }
 
     /// Sets the worker-thread count for stages that partition per-round
-    /// node work across threads (the GHS MOE search). Purely a wall-clock
-    /// knob: shard results are reduced in canonical order, so ledgers,
-    /// traces and stage marks are bit-identical for any value (pinned by
-    /// `tests/shard_identity.rs`). Clamped to at least 1.
+    /// node work across threads (the modified GHS variants' MOE slot
+    /// refresh, one thread per contiguous id block). Purely a wall-clock
+    /// knob: the candidates are folded on the calling thread in ascending
+    /// id order, so ledgers, traces and stage marks are bit-identical for
+    /// any value (pinned by `tests/shard_identity.rs`). Clamped to at
+    /// least 1.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -93,6 +93,12 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
         self.entries.clear();
     }
 
+    /// Drops every entry whose key fails `keep`, keeping the others in
+    /// recency order. Counters survive, as with [`Lru::clear`].
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.entries.retain(|(k, _)| keep(k));
+    }
+
     /// Lifetime counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -189,6 +195,13 @@ impl RowCache {
     /// Drops every cached row set (the points changed). Counters survive.
     pub fn clear(&mut self) {
         self.lru.get_mut().expect("row cache poisoned").clear();
+    }
+
+    /// Drops the cached rows below `radius`, whatever their grid radius.
+    /// Counters survive.
+    pub fn drop_below(&mut self, radius: f64) {
+        let lru = self.lru.get_mut().expect("row cache poisoned");
+        lru.retain(|&(_, row_radius)| f64::from_bits(row_radius) >= radius);
     }
 
     /// Lifetime hit/miss/eviction counters plus current occupancy.

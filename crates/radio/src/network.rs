@@ -468,6 +468,10 @@ impl<'a> RadioNet<'a> {
     /// and in grid visit order: identical content and order to a live
     /// [`BucketGrid`] query, so switching a protocol onto them cannot
     /// change its energy ledger or trace.
+    ///
+    /// The network's own cache then drops its rows below `radius`: it dies
+    /// with the run, whose radii only grow (EOPT's r₁ rows are not read
+    /// after step 1). A lent cache keeps them for later runs.
     pub fn cache_topology(&mut self, radius: f64) {
         if self.topology_at(radius).is_some() {
             return;
@@ -479,6 +483,9 @@ impl<'a> RadioNet<'a> {
         let rows = cache.rows(self.points, Some(&self.grid), self.grid_radius, radius);
         debug_assert_eq!(rows.n(), self.n(), "rows of another point set");
         self.topo = Some(rows);
+        if let Rows::Own(cache) = &mut self.rows {
+            cache.drop_below(radius);
+        }
     }
 
     /// Fetches rows from `rows` instead of the network's own cache: a
@@ -1006,6 +1013,37 @@ mod tests {
         assert!(net.topology_at(0.2).is_some());
         assert!(net.topology_at(0.1).is_none());
         assert!(net.topology().unwrap().directed_edges() >= edges);
+    }
+
+    #[test]
+    fn own_row_cache_drops_rows_below_the_fetched_radius() {
+        // EOPT's two radii on one grid: r₁ is restricted from the r₂ rows,
+        // so both are cached after step 1. Fetching r₂ then drops the r₁
+        // rows from a net's own cache; a lent cache keeps both.
+        let pts = uniform_points(200, &mut trial_rng(78, 0));
+        let (r1, r2) = (0.05, 0.1);
+        let held = |net: &RadioNet<'_>| match &net.rows {
+            Rows::Own(cache) => cache.stats().len,
+            Rows::Lent(cache) => cache.stats().len,
+        };
+        let mut own = RadioNet::new(&pts, r2);
+        own.cache_topology(r1);
+        assert_eq!(held(&own), 2);
+        own.cache_topology(r2);
+        assert_eq!(held(&own), 1);
+        let cache = RowCache::new();
+        let mut lent = RadioNet::new(&pts, r2);
+        lent.lend_rows(&cache);
+        lent.cache_topology(r1);
+        lent.cache_topology(r2);
+        assert_eq!(held(&lent), 2);
+        assert_eq!(cache.stats().len, 2);
+        let (a, b) = (own.topology().unwrap(), lent.topology().unwrap());
+        assert_eq!(a.directed_edges(), b.directed_edges());
+        // A smaller radius after a larger one is rebuilt from the grid
+        // radius's rows.
+        own.cache_topology(r1);
+        assert!(own.topology_at(r1).is_some());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Shard-count identity: sharding is a wall-clock knob, never a
 //! semantics knob.
 //!
-//! [`Sim::shards`] partitions the GHS MOE stage across worker threads
-//! under a fixed shard→node mapping and reduces per-shard results in
-//! canonical sequential order. These tests pin the contract from three
-//! directions:
+//! [`Sim::shards`] splits the modified GHS variants' MOE slot refresh
+//! into contiguous node-id blocks, one worker thread each, and folds the
+//! slots into candidates on the calling thread in ascending id order.
+//! These tests pin the contract from three directions:
 //!
 //! 1. **Golden pinning** — 4-shard runs must reproduce the pre-sharding
 //!    golden fixtures byte-for-byte (tree bits, ledger bits, trace
