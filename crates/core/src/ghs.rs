@@ -300,7 +300,8 @@ pub struct GhsEngine {
     /// (`NONE` outside a merge stage, and for fragments without one).
     chosen_at: Vec<u32>,
     /// Reusable merge scratch: per `chosen` entry, whether the union-find
-    /// accepted it (cleared once the re-rooting walk has used it).
+    /// accepted it (the re-rooting walk from `f_star` clears the entries
+    /// it follows).
     accepted_scratch: Vec<bool>,
     /// Per fragment id, its index among the phase's active fragments
     /// while stage B searches in node order (`NONE` outside stage B, and

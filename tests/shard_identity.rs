@@ -16,10 +16,12 @@
 //!    exceeding `n`), fault plans and both entry points
 //!    ([`Sim::new`] vs [`Sim::from_instance`]) all agree bit-for-bit.
 //!
-//! The protocols no shard count touches (Co-NNT, GHS original and
-//! low-awake, BFS, the elections) are pinned across the two entry points
-//! on their own, and so are the row lookups each run makes through an
-//! instance.
+//! The protocols no shard count touches (Co-NNT, GHS original, BFS, the
+//! elections) are pinned across the two entry points on their own, and
+//! so are the row lookups each run makes through an instance. Low-awake
+//! GHS refreshes its slots like the modified variant; it is pinned here
+//! across the entry points only, and the engine's unit tests check its
+//! candidates at 1, 2 and 3 shards.
 
 use energy_mst::core::{GhsVariant, RankScheme};
 use energy_mst::geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
